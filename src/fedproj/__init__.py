@@ -6,8 +6,6 @@ bit-level traffic accounting, and verifiers that check the algorithms'
 convergence bounds on analytic objectives.
 """
 
-from .backend import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

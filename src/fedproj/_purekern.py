@@ -1,10 +1,4 @@
-"""Pure numpy implementation of the hot kernels.
-
-This is the reference backend; ``fedproj._ckernels`` is a compiled twin with
-the same signatures.  Both implement the same counter-based random stream, so
-integer draws (uniform words, subset picks, quantization levels away from
-probability boundaries) agree exactly across backends; floating-point
-reductions may differ in the last ulps because summation order differs.
+"""Numpy implementation of the hot kernels (bound by name in ``fedproj.backend``).
 
 Stream construction
 -------------------
@@ -72,8 +66,7 @@ def stream_normals(key: int, start: int, n: int) -> np.ndarray:
 def stream_subset(key: int, start: int, pop: int, k: int) -> np.ndarray:
     """Uniform k-subset of ``range(pop)``, sorted ascending; consumes k words.
 
-    Partial Fisher-Yates driven by the stream's uniforms; the float-to-int
-    truncation makes the picks identical in both backends.
+    Partial Fisher-Yates driven by the stream's uniforms.
     """
     u = stream_uniforms(key, start, k)
     idx = np.arange(pop, dtype=np.int64)
@@ -88,13 +81,20 @@ def stream_subset(key: int, start: int, pop: int, k: int) -> np.ndarray:
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest-|.| entries, ties won by the lower index.
 
-    Returned sorted ascending.
+    Returned as int64, sorted ascending.  O(d) selection, no sort: the k-th
+    largest magnitude ``thr`` comes from ``np.partition``; every entry above
+    ``thr`` is kept, and the remaining slots go to the entries equal to
+    ``thr`` in index order.  ``-0.0`` and ``0.0`` have equal magnitude.
     """
     d = values.shape[0]
-    order = np.lexsort((np.arange(d), -np.abs(values)))[:k]
-    out = np.asarray(order, dtype=np.int64)
-    out.sort()
-    return out
+    if k >= d:
+        return np.arange(d, dtype=np.int64)
+    a = np.abs(values)
+    thr = np.partition(a, d - k)[d - k]
+    mask = a > thr
+    need = k - int(np.count_nonzero(mask))
+    mask[np.flatnonzero(a == thr)[:need]] = True
+    return np.flatnonzero(mask)
 
 
 def project_decompose(g: np.ndarray, dbar: np.ndarray, eps: float):

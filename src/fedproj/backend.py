@@ -1,35 +1,15 @@
-"""Kernel backend selection.
+"""The kernel names, bound in one module.
 
-The compiled extension (``fedproj._ckernels``) is preferred when importable;
-otherwise the pure numpy twin is used.  Set ``FEDPROJ_KERNELS=pure`` or
-``compiled`` to force a backend (``compiled`` raises if the extension is
-missing).
+Callers look kernels up here at call time (``backend.topk_indices(...)``), so
+a profiler can wrap a kernel by rebinding its name in this module.
 """
 
-import os
-
-_requested = os.environ.get("FEDPROJ_KERNELS", "auto").lower()
-
-if _requested not in ("auto", "compiled", "pure"):
-    raise RuntimeError(f"FEDPROJ_KERNELS must be auto|compiled|pure, got {_requested!r}")
-
-if _requested == "pure":
-    from . import _purekern as _impl
-    BACKEND = "pure"
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
-        BACKEND = "compiled"
-    except ImportError:
-        if _requested == "compiled":
-            raise
-        from . import _purekern as _impl
-        BACKEND = "pure"
-
-stream_words = _impl.stream_words
-stream_uniforms = _impl.stream_uniforms
-stream_normals = _impl.stream_normals
-stream_subset = _impl.stream_subset
-topk_indices = _impl.topk_indices
-project_decompose = _impl.project_decompose
-qsgd_encode = _impl.qsgd_encode
+from ._purekern import (
+    project_decompose,
+    qsgd_encode,
+    stream_normals,
+    stream_subset,
+    stream_uniforms,
+    stream_words,
+    topk_indices,
+)

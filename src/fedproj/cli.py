@@ -49,11 +49,14 @@ from .harness import (
     RunConfig,
     VerifierError,
     build_objective,
+    lemma_precheck,
     read_metrics_csv,
     run,
     select_output,
     theorem1_eta_cap,
+    theorem1_precheck,
     theorem2_eta_cap,
+    theorem2_precheck,
     verify_lemma_error_bound,
     verify_theorem1,
     verify_theorem2,
@@ -338,20 +341,29 @@ def cmd_verify(args) -> int:
         return 1
     out = _resolve_out_dir(values, args.out)
     obj = build_objective(config.objective)
+    theorem = args.item[:3]
     try:
-        if args.reuse:
-            results = read_metrics_csv(args.reuse)
+        # misuse and SKIPPED need only the config and the objective: no run
+        if theorem == "t1.":
+            report = theorem1_precheck(int(args.item[-1]), obj, config)
+        elif theorem == "t2.":
+            report = theorem2_precheck(int(args.item[-1]), obj, config)
         else:
-            jobs = args.jobs or _default_jobs(len(config.seeds))
-            results = run(config, jobs=jobs)
-            write_metrics_csv(out / "metrics.csv", results)
-            write_effective_config(out / "effective_config.cfg", values)
-        if args.item.startswith("t1."):
-            report = verify_theorem1(int(args.item[-1]), results, obj, config)
-        elif args.item.startswith("t2."):
-            report = verify_theorem2(int(args.item[-1]), results, obj, config)
-        else:
-            report = verify_lemma_error_bound(results, obj, config)
+            report = lemma_precheck(obj, config)
+        if report is None:
+            if args.reuse:
+                results = read_metrics_csv(args.reuse)
+            else:
+                jobs = args.jobs or _default_jobs(len(config.seeds))
+                results = run(config, jobs=jobs)
+                write_metrics_csv(out / "metrics.csv", results)
+                write_effective_config(out / "effective_config.cfg", values)
+            if theorem == "t1.":
+                report = verify_theorem1(int(args.item[-1]), results, obj, config)
+            elif theorem == "t2.":
+                report = verify_theorem2(int(args.item[-1]), results, obj, config)
+            else:
+                report = verify_lemma_error_bound(results, obj, config)
     except VerifierError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -67,6 +67,9 @@ __all__ = [
     "run",
     "select_output",
     "locate_optimum",
+    "theorem1_precheck",
+    "theorem2_precheck",
+    "lemma_precheck",
     "verify_theorem1",
     "verify_theorem2",
     "verify_lemma_error_bound",
@@ -436,13 +439,49 @@ def _gather_constants(obj, cfg: RunConfig, need_w_star: bool, need_f_star: bool)
     f_star = obj.f_star
     if (need_w_star and w_star is None) or (need_f_star and f_star is None):
         w_hat, f_hat = locate_optimum(obj)
-        if w_star is None:
+        if need_w_star and w_star is None:
             w_star = w_hat
             caveats.append("w* located numerically")
         if f_star is None:
             f_star = f_hat
             caveats.append("f* located numerically")
     return w_star, f_star, caveats
+
+
+def _skipped(item: str, cfg: RunConfig, reason: str) -> VerifierReport:
+    return VerifierReport(item, "SKIPPED", reason, cfg.algorithm.eta, {}, [])
+
+
+def _check_eta_cap(item: int, eta: float, cap: float):
+    if eta > cap * (1 + 1e-12):
+        raise VerifierError(f"eta={eta} exceeds the item-{item} cap {cap}")
+
+
+def theorem1_precheck(item: int, obj: FederatedObjective,
+                      cfg: RunConfig) -> Optional[VerifierReport]:
+    """The checks of ``verify_theorem1`` that need no run.
+
+    Raises VerifierError on misuse (unknown item, wrong algorithm, eta above
+    the cap); returns the SKIPPED report when the bound does not apply, else
+    None.
+    """
+    if item not in (1, 2, 3):
+        raise VerifierError(f"unknown theorem-1 item {item}")
+    alg = cfg.algorithm
+    if alg.kind is not AlgorithmKind.PROJFL:
+        raise VerifierError("theorem-1 verification applies to projfl runs")
+    name = f"t1.{item}"
+    if not beta_certified(alg.compressor):
+        return _skipped(name, cfg, "compressor has no unbiasedness certificate (biased kind)")
+    if not obj.L_certified:
+        return _skipped(name, cfg, "no certified L for this objective")
+    if item == 1 and obj.mu <= 0.0:
+        return _skipped(name, cfg, "item 1 needs strong convexity (mu > 0)")
+    if item == 1 and obj.w_star is None:
+        return _skipped(name, cfg, "item 1 needs a recorded distance-to-optimum metric")
+    beta = estimate_beta(alg.compressor, obj.d, obj.layer_partition)
+    _check_eta_cap(item, alg.eta, theorem1_eta_cap(item, obj, beta, obj.M))
+    return None
 
 
 def verify_theorem1(item: int, results: Sequence[SeedResult], obj: FederatedObjective,
@@ -453,33 +492,15 @@ def verify_theorem1(item: int, results: Sequence[SeedResult], obj: FederatedObje
     item 2: convex, uniform-output loss-gap bound at the horizon.
     item 3: smooth nonconvex, uniform-output gradient-norm bound.
     """
-    if item not in (1, 2, 3):
-        raise VerifierError(f"unknown theorem-1 item {item}")
-    alg = cfg.algorithm
-    if alg.kind is not AlgorithmKind.PROJFL:
-        raise VerifierError("theorem-1 verification applies to projfl runs")
+    skipped = theorem1_precheck(item, obj, cfg)
+    if skipped is not None:
+        return skipped
     name = f"t1.{item}"
-    eta = alg.eta
-    spec = alg.compressor
-
-    def skip(reason):
-        return VerifierReport(name, "SKIPPED", reason, eta, {}, [])
-
-    if not beta_certified(spec):
-        return skip("compressor has no unbiasedness certificate (biased kind)")
-    if not obj.L_certified:
-        return skip("no certified L for this objective")
-    if item == 1 and obj.mu <= 0.0:
-        return skip("item 1 needs strong convexity (mu > 0)")
-    if item == 1 and obj.w_star is None:
-        return skip("item 1 needs a recorded distance-to-optimum metric")
-
-    beta = estimate_beta(spec, obj.d, obj.layer_partition)
+    eta = cfg.algorithm.eta
+    beta = estimate_beta(cfg.algorithm.compressor, obj.d, obj.layer_partition)
     sigma_sq = _noise_second_moment(cfg.noise)
     M = obj.M
     cap = theorem1_eta_cap(item, obj, beta, M)
-    if eta > cap * (1 + 1e-12):
-        raise VerifierError(f"eta={eta} exceeds the item-{item} cap {cap}")
 
     _check_divergence(results)
     _require_cadence_one(cfg)
@@ -547,35 +568,39 @@ def verify_theorem1(item: int, results: Sequence[SeedResult], obj: FederatedObje
                           constants, caveats, lhs=lhs, rhs=rhs)
 
 
-def verify_theorem2(item: int, results: Sequence[SeedResult], obj: FederatedObjective,
-                    cfg: RunConfig) -> VerifierReport:
-    """Check one regime of the contractive-compressor (error feedback) bound."""
+def theorem2_precheck(item: int, obj: FederatedObjective,
+                      cfg: RunConfig) -> Optional[VerifierReport]:
+    """The checks of ``verify_theorem2`` that need no run (see theorem1_precheck)."""
     if item not in (1, 2, 3):
         raise VerifierError(f"unknown theorem-2 item {item}")
     alg = cfg.algorithm
     if alg.kind is not AlgorithmKind.PROJFL_EF:
         raise VerifierError("theorem-2 verification applies to projfl_ef runs")
     name = f"t2.{item}"
-    eta = alg.eta
-    spec = alg.compressor
-
-    def skip(reason):
-        return VerifierReport(name, "SKIPPED", reason, eta, {}, [])
-
-    if not delta_certified(spec):
-        return skip("compressor has no contraction certificate as applied "
-                    "(needs topk or identity)")
+    if not delta_certified(alg.compressor):
+        return _skipped(name, cfg, "compressor has no contraction certificate as applied "
+                                   "(needs topk or identity)")
     if not obj.L_certified:
-        return skip("no certified L for this objective")
+        return _skipped(name, cfg, "no certified L for this objective")
     if item == 1 and obj.mu <= 0.0:
-        return skip("item 1 needs strong convexity (mu > 0)")
+        return _skipped(name, cfg, "item 1 needs strong convexity (mu > 0)")
+    delta = estimate_delta(alg.compressor, obj.d, obj.layer_partition)
+    _check_eta_cap(item, alg.eta, theorem2_eta_cap(item, obj, delta))
+    return None
 
-    delta = estimate_delta(spec, obj.d, obj.layer_partition)
+
+def verify_theorem2(item: int, results: Sequence[SeedResult], obj: FederatedObjective,
+                    cfg: RunConfig) -> VerifierReport:
+    """Check one regime of the contractive-compressor (error feedback) bound."""
+    skipped = theorem2_precheck(item, obj, cfg)
+    if skipped is not None:
+        return skipped
+    name = f"t2.{item}"
+    eta = cfg.algorithm.eta
+    delta = estimate_delta(cfg.algorithm.compressor, obj.d, obj.layer_partition)
     sigma_sq = _noise_second_moment(cfg.noise)
     M = obj.M
     cap = theorem2_eta_cap(item, obj, delta)
-    if eta > cap * (1 + 1e-12):
-        raise VerifierError(f"eta={eta} exceeds the item-{item} cap {cap}")
 
     _check_divergence(results)
     _require_cadence_one(cfg)
@@ -635,6 +660,15 @@ def verify_theorem2(item: int, results: Sequence[SeedResult], obj: FederatedObje
                           constants, caveats, lhs=lhs, rhs=rhs)
 
 
+def lemma_precheck(obj: FederatedObjective, cfg: RunConfig) -> Optional[VerifierReport]:
+    """The checks of ``verify_lemma_error_bound`` that need no run."""
+    if cfg.algorithm.kind is not AlgorithmKind.PROJFL_EF:
+        raise VerifierError("the error-bound lemma applies to projfl_ef runs")
+    if not delta_certified(cfg.algorithm.compressor):
+        return _skipped("lemmaA1", cfg, "compressor has no contraction certificate as applied")
+    return None
+
+
 def verify_lemma_error_bound(results: Sequence[SeedResult], obj: FederatedObjective,
                              cfg: RunConfig) -> VerifierReport:
     """Check the accumulated-compression-error bound along recorded runs.
@@ -643,17 +677,11 @@ def verify_lemma_error_bound(results: Sequence[SeedResult], obj: FederatedObject
     geometrically discounted sum of the recorded gradient energies plus the
     heterogeneity/noise floor.
     """
-    alg = cfg.algorithm
-    if alg.kind is not AlgorithmKind.PROJFL_EF:
-        raise VerifierError("the error-bound lemma applies to projfl_ef runs")
-    eta = alg.eta
-    spec = alg.compressor
-
-    if not delta_certified(spec):
-        return VerifierReport("lemmaA1", "SKIPPED",
-                              "compressor has no contraction certificate as applied",
-                              eta, {}, [])
-    delta = estimate_delta(spec, obj.d, obj.layer_partition)
+    skipped = lemma_precheck(obj, cfg)
+    if skipped is not None:
+        return skipped
+    eta = cfg.algorithm.eta
+    delta = estimate_delta(cfg.algorithm.compressor, obj.d, obj.layer_partition)
     sigma_sq = _noise_second_moment(cfg.noise)
     _check_divergence(results)
     _require_cadence_one(cfg)

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fedproj import backend
 from fedproj.compressors import (
     BiasedCompressorError,
     CompressedMessage,
@@ -26,6 +27,14 @@ from fedproj.vectors import ParamVector, StreamPurpose, derive_stream
 
 def stream(seed=0, round_index=0):
     return derive_stream(seed, 0, round_index, StreamPurpose.COMPRESSOR)
+
+
+def topk_oracle(values: np.ndarray, k: int) -> np.ndarray:
+    """Top-k by a full sort: magnitude descending, then index ascending."""
+    order = np.lexsort((np.arange(values.shape[0]), -np.abs(values)))[:k]
+    out = np.asarray(order, dtype=np.int64)
+    out.sort()
+    return out
 
 
 def randk_expectation_by_enumeration(g: np.ndarray, k: int):
@@ -121,13 +130,46 @@ class TestTopK:
         assert np.array_equal(m1.payload.values, m2.payload.values)
 
     @given(arrays(np.float64, 12, elements=st.floats(-100, 100, allow_nan=False)))
+    @example(np.full(12, 42.0378369))  # all-equal magnitudes meet the bound exactly
     @settings(max_examples=80, deadline=None)
     def test_contraction_holds_everywhere(self, raw):
         g = ParamVector(raw)
         spec = CompressorSpec(CompressorKind.TOPK, k_fraction=0.25)
         delta = estimate_delta(spec, 12)
         err = decode(compress(spec, g)).values - g.values
-        assert err @ err <= (1 - delta) * (g.values @ g.values) + 1e-12
+        gg = g.values @ g.values
+        # relative slack: at equality the two sides differ only by rounding
+        assert err @ err <= (1 - delta) * gg + 1e-12 * (1 + gg)
+
+    def test_kernel_matches_sort_oracle(self):
+        rng = np.random.default_rng(20251107)
+        cases = [np.array([0.0, -0.0, 0.0, -0.0]), np.array([-7.5])]
+        for _ in range(150):
+            d = int(rng.integers(1, 400))
+            cases += [
+                rng.standard_normal(d),
+                rng.integers(-3, 4, d).astype(np.float64),       # many ties
+                rng.choice([-2.5, 2.5], d),                       # all magnitudes equal
+                rng.choice([0.0, -0.0, 1e-300, -1.0], d),         # signed zeros
+            ]
+        for values in cases:
+            d = values.shape[0]
+            for k in sorted({1, d, max(1, d // 10), int(rng.integers(1, d + 1))}):
+                got = backend.topk_indices(values, k)
+                assert got.dtype == np.int64
+                assert got.tolist() == topk_oracle(values, k).tolist(), (values, k)
+
+    def test_layerwise_matches_sort_oracle(self):
+        rng = np.random.default_rng(7)
+        part = [(0, 50), (50, 53), (53, 153), (153, 154)]
+        raw = rng.integers(-4, 5, 154).astype(np.float64)
+        spec = CompressorSpec(CompressorKind.TOPK, k_fraction=0.1, layerwise=True)
+        msg = compress(spec, ParamVector(raw, part))
+        expected = np.concatenate([
+            start + topk_oracle(raw[start:stop], k_eff(0.1, stop - start))
+            for start, stop in part])
+        assert msg.payload.indices.tolist() == expected.tolist()
+        assert msg.payload.values.tolist() == raw[expected].tolist()
 
     def test_layerwise_keeps_one_per_layer(self):
         part = [(0, 3), (3, 6)]

@@ -265,6 +265,19 @@ class TestTheorem1Verifier:
         report = verify_theorem1(2, results, obj, cfg)
         assert report.status == "PASS"
 
+    def test_item3_caveats_name_only_what_it_uses(self):
+        ocfg = ObjectiveConfig(ObjectiveKind.LOGISTIC, d=6, clients=2, samples_per_client=10)
+        obj = build_objective(ocfg)
+        assert obj.w_star is None and obj.f_star is None
+        cfg = RunConfig(objective=ocfg,
+                        algorithm=AlgorithmConfig(AlgorithmKind.PROJFL, eta=0.01,
+                                                  compressor=IDENTITY),
+                        rounds=5, seeds=(0,))
+        report = verify_theorem1(3, run(cfg), obj, cfg)
+        assert report.status == "PASS"
+        assert "f* located numerically" in report.caveats
+        assert "w* located numerically" not in report.caveats
+
     def test_pure_function_of_csv(self, tmp_path):
         cfg = quad_config(rounds=30, seeds=(0, 1),
                           compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=0.5),

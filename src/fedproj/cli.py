@@ -250,13 +250,9 @@ def _default_jobs(n_seeds: int) -> int:
     return max(1, min(n_seeds, os.cpu_count() or 1))
 
 
-def _eta_cap_warning(config: RunConfig) -> Optional[str]:
+def _eta_cap_warning(config: RunConfig, obj) -> Optional[str]:
     """Loosest applicable theorem cap, when constants allow computing one."""
     alg = config.algorithm
-    try:
-        obj = build_objective(config.objective)
-    except Exception:
-        return None
     try:
         if alg.kind is AlgorithmKind.PROJFL and beta_certified(alg.compressor):
             beta = estimate_beta(alg.compressor, obj.d, obj.layer_partition)
@@ -300,19 +296,29 @@ def _summarize(results) -> dict:
     }
 
 
+def _load(config_path):
+    """Values, run config and built objective of a config file (one build)."""
+    values = parse_config_file(config_path)
+    config = build_run_config(values)
+    try:
+        obj = build_objective(config.objective)
+    except ValueError as exc:
+        raise ConfigError(f"{config_path}: cannot build the objective: {exc}") from exc
+    return values, config, obj
+
+
 def cmd_run(args) -> int:
     try:
-        values = parse_config_file(args.config)
-        config = build_run_config(values)
+        values, config, obj = _load(args.config)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    warning = _eta_cap_warning(config)
+    warning = _eta_cap_warning(config, obj)
     if warning:
         print(warning, file=sys.stderr)
     out = _resolve_out_dir(values, args.out)
     jobs = args.jobs or _default_jobs(len(config.seeds))
-    results = run(config, jobs=jobs)
+    results = run(config, jobs, obj)
     write_metrics_csv(out / "metrics.csv", results)
     write_effective_config(out / "effective_config.cfg", values)
     summary = _summarize(results)
@@ -334,13 +340,11 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 1
     try:
-        values = parse_config_file(args.config)
-        config = build_run_config(values)
+        values, config, obj = _load(args.config)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = _resolve_out_dir(values, args.out)
-    obj = build_objective(config.objective)
     theorem = args.item[:3]
     try:
         # misuse and SKIPPED need only the config and the objective: no run
@@ -355,7 +359,7 @@ def cmd_verify(args) -> int:
                 results = read_metrics_csv(args.reuse)
             else:
                 jobs = args.jobs or _default_jobs(len(config.seeds))
-                results = run(config, jobs=jobs)
+                results = run(config, jobs, obj)
                 write_metrics_csv(out / "metrics.csv", results)
                 write_effective_config(out / "effective_config.cfg", values)
             if theorem == "t1.":

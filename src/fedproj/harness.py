@@ -6,6 +6,12 @@ client/server round loop, recording per-round metrics and exact traffic
 counts.  Runs are deterministic per seed (keyed random streams) and seeds are
 independent, so parallel execution cannot change any number.
 
+The objective is built once per command: building it costs eigenvalue
+solves and a probe grid, and it never changes after construction.  The
+caller builds it from the :class:`ObjectiveConfig` and hands the object to
+:func:`run` and to the verifiers; worker processes receive the same object
+through the pool's initializer instead of rebuilding it.
+
 The verifiers re-derive the right-hand sides of the convergence bounds from
 the objective's constants and compare them against seed-averaged recorded
 metrics.  They are pure functions of recorded metrics: re-running a verifier
@@ -99,7 +105,8 @@ class OutputRule(str, Enum):
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """Declarative objective description (rebuildable inside worker processes)."""
+    """Declarative objective description; :func:`build_objective` turns it into
+    the objective, once per command (see the module docstring)."""
 
     kind: ObjectiveKind
     d: int = 2
@@ -118,6 +125,9 @@ class ObjectiveConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ObjectiveKind(self.kind))
+        for name in ("d", "clients", "d_in", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def build_objective(ocfg: ObjectiveConfig) -> FederatedObjective:
@@ -194,8 +204,7 @@ class SeedResult:
 def _metrics_row(obj, cfg: RunConfig, t, w_arr, clients, server,
                  up_bits, down_bits, cum_up, cum_down) -> RoundMetrics:
     w = ParamVector(w_arr, obj.layer_partition, copy=True)
-    loss = obj.loss(w)
-    grad = obj.grad(w).values
+    loss, grad = obj.loss_grad(w)
     loss_gap = None if obj.f_star is None else loss - obj.f_star
     dist = None
     if obj.w_star is not None:
@@ -262,19 +271,36 @@ def run_seed(config: RunConfig, obj: FederatedObjective, seed: int) -> SeedResul
     return SeedResult(seed, rows, diverged_at, server.w.copy())
 
 
+# set by the pool's initializer, in worker processes only
+_WORKER_OBJECTIVE: Optional[FederatedObjective] = None
+
+
+def _init_worker(obj: FederatedObjective):
+    global _WORKER_OBJECTIVE
+    _WORKER_OBJECTIVE = obj
+
+
 def _run_seed_worker(args):
     config, seed = args
-    obj = build_objective(config.objective)
-    return run_seed(config, obj, seed)
+    return run_seed(config, _WORKER_OBJECTIVE, seed)
 
 
-def run(config: RunConfig, jobs: int = 1) -> List[SeedResult]:
-    """Execute every seed; results are sorted by seed and independent of ``jobs``."""
-    if jobs <= 1 or len(config.seeds) == 1:
+def run(config: RunConfig, jobs: int = 1,
+        obj: Optional[FederatedObjective] = None) -> List[SeedResult]:
+    """Execute every seed; results are sorted by seed and independent of ``jobs``.
+
+    ``obj`` is the objective built from ``config.objective``; callers that
+    also need it (the CLI commands, the verifiers) build it once and pass it
+    here.  It is built here only when omitted.  With ``jobs > 1`` each worker
+    process gets it once, through the pool's initializer.
+    """
+    if obj is None:
         obj = build_objective(config.objective)
+    if jobs <= 1 or len(config.seeds) == 1:
         results = [run_seed(config, obj, s) for s in config.seeds]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(obj,)) as pool:
             results = list(pool.map(_run_seed_worker,
                                     [(config, s) for s in config.seeds],
                                     chunksize=max(1, len(config.seeds) // (4 * jobs))))
@@ -328,13 +354,9 @@ def locate_optimum(obj: FederatedObjective, tol: float = 1e-12):
     from scipy.optimize import minimize
 
     def fun(w):
-        pv = ParamVector(w, obj.layer_partition, copy=True)
-        return obj.loss(pv)
+        return obj.loss_grad(ParamVector(w, obj.layer_partition, copy=True))
 
-    def jac(w):
-        return obj._grad_mean(np.asarray(w, dtype=np.float64))
-
-    res = minimize(fun, np.zeros(obj.d), jac=jac, method="L-BFGS-B",
+    res = minimize(fun, np.zeros(obj.d), jac=True, method="L-BFGS-B",
                    options={"maxiter": 5000, "ftol": tol, "gtol": 1e-10})
     return res.x, float(res.fun)
 

@@ -19,6 +19,12 @@ Three suites:
 * ``tiny_mlp``: one hidden tanh layer with squared loss and hand-coded
   backprop; non-convex, ``mu = 0``, bounded below by 0, ``L`` is an empirical
   Lipschitz estimate (flagged non-certified).
+
+``FederatedObjective.loss_grad`` returns the loss and the mean gradient from
+one forward pass per client.  It folds them exactly as ``loss`` (``sum`` of
+the client losses, then ``/ M``) and ``grad`` (the left fold
+``g_0 + g_1 + ...``, then ``/ M``) do, so its results are bit-equal to the
+two separate calls.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from .vectors import ParamVector, RngStream, StreamPurpose, derive_stream
 
@@ -116,6 +121,10 @@ class FederatedObjective(ABC):
     @abstractmethod
     def _client_grad(self, client_id: int, w: np.ndarray) -> np.ndarray: ...
 
+    def _client_loss_grad(self, client_id: int, w: np.ndarray) -> Tuple[float, np.ndarray]:
+        """Loss and gradient of one client; subclasses share the forward pass."""
+        return self._client_loss(client_id, w), self._client_grad(client_id, w)
+
     def client_loss(self, client_id: int, w: ParamVector) -> float:
         self._check_client(client_id)
         return self._client_loss(client_id, w.values)
@@ -132,11 +141,32 @@ class FederatedObjective(ABC):
         acc = self._grad_mean(w.values)
         return ParamVector(acc, self.layer_partition, copy=False)
 
+    def loss_grad(self, w: ParamVector) -> Tuple[float, np.ndarray]:
+        """``(loss(w), grad(w).values)``, bit-equal, one forward pass per client."""
+        losses = []
+        acc = None
+        for i in range(self.M):
+            loss, g = self._client_loss_grad(i, w.values)
+            losses.append(loss)
+            acc = g if acc is None else acc + g
+        return sum(losses) / self.M, acc / self.M
+
     def _grad_mean(self, warr: np.ndarray) -> np.ndarray:
         acc = self._client_grad(0, warr)
         for i in range(1, self.M):
             acc = acc + self._client_grad(i, warr)
         return acc / self.M
+
+    def _probe(self, warr: np.ndarray):
+        """``(1/M) sum_i ||grad f_i||^2`` and ``grad f`` (as ``_grad_mean``) at
+        one point, from one gradient per client."""
+        sq = []
+        acc = None
+        for i in range(self.M):
+            g = self._client_grad(i, warr)
+            sq.append(float(g @ g))
+            acc = g if acc is None else acc + g
+        return np.mean(sq), acc / self.M
 
     def _check_client(self, client_id: int):
         if not 0 <= client_id < self.M:
@@ -191,12 +221,22 @@ class LogisticObjective(FederatedObjective):
 
     def _client_loss(self, i, w):
         X, y = self.features[i], self.labels[i]
-        margins = (X @ w) * y
-        return float(np.logaddexp(0.0, -margins).mean()) + 0.5 * self.ridge * float(w @ w)
+        return self._loss_from_margins((X @ w) * y, w)
 
     def _client_grad(self, i, w):
         X, y = self.features[i], self.labels[i]
+        return self._grad_from_margins(X, y, (X @ w) * y, w)
+
+    def _client_loss_grad(self, i, w):
+        X, y = self.features[i], self.labels[i]
         margins = (X @ w) * y
+        return self._loss_from_margins(margins, w), self._grad_from_margins(X, y, margins, w)
+
+    def _loss_from_margins(self, margins, w):
+        return float(np.logaddexp(0.0, -margins).mean()) + 0.5 * self.ridge * float(w @ w)
+
+    def _grad_from_margins(self, X, y, margins, w):
+        from scipy.special import expit    # here, so other objectives never load scipy
         weights = y * expit(-margins)
         return -(X.T @ weights) / X.shape[0] + self.ridge * w
 
@@ -205,25 +245,29 @@ class LogisticObjective(FederatedObjective):
 
         Probes cover random directions at several radii plus a short descent
         path, so the estimate reflects the region trajectories actually visit.
-        The result is empirical, not analytic.
+        The result is empirical, not analytic.  Each probe's client gradients
+        are computed once; a descent step reuses the mean gradient of the
+        probe it starts from.
         """
-        probes = [np.zeros(self.d)]
+        worst = 0.0
+
+        def probe(p):
+            nonlocal worst
+            mean_sq, gbar = self._probe(p)
+            worst = max(worst, mean_sq - self.b * float(gbar @ gbar))
+            return gbar
+
+        gbar = probe(np.zeros(self.d))
         rng = derive_stream(0xA11CE, self.M, 0, StreamPurpose.DATA_SHUFFLE)
         for radius in (0.25, 0.5, 1.0, 2.0, 4.0):
             for _ in range(10):
                 u = rng.normals(self.d)
                 u /= max(np.linalg.norm(u), 1e-12)
-                probes.append(radius * u)
+                probe(radius * u)
         w = np.zeros(self.d)
         for _ in range(40):
-            w = w - (1.0 / self.L) * self._grad_mean(w)
-            probes.append(w.copy())
-        worst = 0.0
-        for p in probes:
-            mean_sq = np.mean([float(g @ g) for g in
-                               (self._client_grad(i, p) for i in range(self.M))])
-            gbar = self._grad_mean(p)
-            worst = max(worst, mean_sq - self.b * float(gbar @ gbar))
+            w = w - (1.0 / self.L) * gbar
+            gbar = probe(w)
         self.a = max(worst, 0.0) * 1.05  # small headroom over the probe max
 
 
@@ -264,20 +308,28 @@ class TinyMlpObjective(FederatedObjective):
         b2 = w[-1]
         return W1, b1, w2, b2
 
-    def _client_loss(self, i, w):
+    def _forward(self, i, w):
         W1, b1, w2, b2 = self._unpack(w)
-        X, y = self.features[i], self.targets[i]
-        hidden = np.tanh(X @ W1.T + b1)
-        pred = hidden @ w2 + b2
-        return 0.5 * float(np.mean((pred - y) ** 2))
+        act = np.tanh(self.features[i] @ W1.T + b1)
+        return act, act @ w2 + b2
+
+    def _loss_from_pred(self, i, pred):
+        return 0.5 * float(np.mean((pred - self.targets[i]) ** 2))
+
+    def _client_loss(self, i, w):
+        return self._loss_from_pred(i, self._forward(i, w)[1])
 
     def _client_grad(self, i, w):
-        W1, b1, w2, b2 = self._unpack(w)
+        return self._backward(i, w, *self._forward(i, w))
+
+    def _client_loss_grad(self, i, w):
+        act, pred = self._forward(i, w)
+        return self._loss_from_pred(i, pred), self._backward(i, w, act, pred)
+
+    def _backward(self, i, w, act, pred):
+        _, _, w2, _ = self._unpack(w)
         X, y = self.features[i], self.targets[i]
         n = X.shape[0]
-        pre = X @ W1.T + b1
-        act = np.tanh(pre)
-        pred = act @ w2 + b2
         resid = (pred - y) / n
         g_b2 = float(resid.sum())
         g_w2 = act.T @ resid
@@ -380,9 +432,7 @@ def verify_h2(obj: FederatedObjective, probe_points: Sequence[ParamVector]) -> H
     worst_idx = -1
     for idx, p in enumerate(probe_points):
         arr = p.values if isinstance(p, ParamVector) else np.asarray(p, float)
-        mean_sq = np.mean([float(g @ g) for g in
-                           (obj._client_grad(i, arr) for i in range(obj.M))])
-        gbar = obj._grad_mean(arr)
+        mean_sq, gbar = obj._probe(arr)
         violation = mean_sq - (obj.a + obj.b * float(gbar @ gbar))
         if violation > worst:
             worst, worst_idx = violation, idx

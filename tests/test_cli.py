@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedproj.cli
+import fedproj.harness
 from fedproj.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_cfg(path, **values):
@@ -36,3 +44,52 @@ class TestVerifyPrecheck:
         assert main(["verify", str(cfg), "--item", "t1.1",
                      "--out", str(tmp_path), "--jobs", "1"]) == 0
         assert (tmp_path / "c" / "metrics.csv").exists()
+
+
+class TestObjectiveBuild:
+    @pytest.mark.parametrize("command, values, message", [
+        (["run"], dict(clients=3), "axis_pair centers require exactly 2 clients"),
+        (["verify", "--item", "t1.1"], dict(clients=3),
+         "axis_pair centers require exactly 2 clients"),
+        (["run"], dict(dim=0), "d must be >= 1"),
+        (["run"], dict(objective="logistic", dim=0), "d must be >= 1"),
+        (["run"], dict(objective="tiny_mlp", d_in=0), "d_in must be >= 1"),
+    ])
+    def test_bad_objective_is_one_line_exit_1(self, tmp_path, capsys, command, values,
+                                              message):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=2, **values)
+        argv = [command[0], str(cfg), *command[1:], "--out", str(tmp_path), "--jobs", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "c" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.3"]])
+    def test_built_once_per_command(self, tmp_path, monkeypatch, command):
+        calls = []
+        build = fedproj.harness.build_objective
+
+        def counting(ocfg):
+            calls.append(ocfg)
+            return build(ocfg)
+
+        monkeypatch.setattr(fedproj.cli, "build_objective", counting)
+        monkeypatch.setattr(fedproj.harness, "build_objective", counting)
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", objective="logistic", dim=4,
+                        clients=2, samples_per_client=5, eta=0.05, rounds=3, seeds="0:2")
+        argv = [command[0], str(cfg), *command[1:], "--out", str(tmp_path), "--jobs", "1"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+    def test_quadratic_verify_loads_no_scipy(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", dim=8, clients=3, centers="random",
+                        algorithm="projfl", compressor="randk", k_fraction=0.5, eta=0.1,
+                        rounds=3, seeds="0:2")
+        code = ("import sys\n"
+                "from fedproj.cli import main\n"
+                f"code = main(['verify', {str(cfg)!r}, '--item', 't1.1', "
+                f"'--out', {str(tmp_path)!r}, '--jobs', '1'])\n"
+                "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
+        assert out.splitlines()[-1] == "0 []"

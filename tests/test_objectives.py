@@ -183,6 +183,27 @@ class TestTinyMlp:
         assert obj.mu == 0.0 and obj.f_lower == 0.0
 
 
+class TestFusedLossGrad:
+    """``loss_grad`` is bit-equal to ``loss`` and ``grad`` called separately."""
+
+    @pytest.fixture(params=["quadratic", "logistic", "tiny_mlp"])
+    def obj(self, request, logistic_obj, mlp_obj):
+        if request.param == "quadratic":
+            rng = np.random.default_rng(12)
+            return make_quadratic(3, 6, [rng.standard_normal(6) for _ in range(3)])
+        return logistic_obj if request.param == "logistic" else mlp_obj
+
+    def test_bit_equal_to_separate_calls(self, obj):
+        rng = np.random.default_rng(13)
+        points = [np.zeros(obj.d)] + [rng.standard_normal(obj.d) * s
+                                      for s in (0.1, 1.0, 5.0) for _ in range(4)]
+        for arr in points:
+            w = ParamVector(arr, obj.layer_partition)
+            loss, grad = obj.loss_grad(w)
+            assert loss == obj.loss(w)
+            assert np.array_equal(grad, obj.grad(w).values)
+
+
 class TestStochasticGradient:
     def test_sigma_zero_exact(self):
         obj = two_point_quadratic()

@@ -8,12 +8,15 @@ A stream is a 64-bit ``key`` plus a word counter.  Word ``n`` of the stream is
 
 where ``mix64`` is the splitmix64 finalizer (xor-shift/multiply avalanche).
 The construction is random-access: any word can be produced independently,
-which is what makes per-(client, round, purpose) streams cheap and makes
-parallel and sequential client evaluation bit-identical.
+which is what makes per-(client, round, purpose) streams cheap and lets one
+call draw the same words for many streams at once.
 
-Uniform doubles take the top 53 bits: ``(word >> 11) * 2**-53`` in ``[0, 1)``.
-Normal draws are Box-Muller pairs on those uniforms (the first uniform is
-shifted into ``(0, 1]`` so the log is finite).
+The stream kernels take an array of ``R`` keys and return ``R`` rows, row
+``r`` being what the stream keyed ``keys[r]`` yields from word ``start`` on;
+a single stream is the case ``R = 1``.  Uniform doubles take the top 53
+bits: ``(word >> 11) * 2**-53`` in ``[0, 1)``.  Normal draws are Box-Muller
+pairs on those uniforms (the first uniform is shifted into ``(0, 1]`` so the
+log is finite).
 """
 
 import numpy as np
@@ -27,55 +30,70 @@ _U64 = np.uint64
 _INV_2_53 = 2.0 ** -53
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on a Python int (used for key derivation)."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MUL1) & MASK64
-    z = ((z ^ (z >> 27)) * _MUL2) & MASK64
-    return z ^ (z >> 31)
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer ``mix64`` on a uint64 array, in place (wraps
+    mod 2**64); also derives the stream keys (``vectors.stream_keys``)."""
+    z ^= z >> _U64(30)
+    z *= _U64(_MUL1)
+    z ^= z >> _U64(27)
+    z *= _U64(_MUL2)
+    z ^= z >> _U64(31)
+    return z
 
 
-def stream_words(key: int, start: int, n: int) -> np.ndarray:
-    """Words ``start .. start+n-1`` of the stream, as uint64."""
+def stream_words(keys, start: int, n: int) -> np.ndarray:
+    """Words ``start .. start+n-1`` of each stream, as an ``(R, n)`` uint64 array."""
     idx = np.arange(start + 1, start + n + 1, dtype=_U64)
-    z = _U64(key) + _U64(GOLDEN_GAMMA) * idx
-    z = (z ^ (z >> _U64(30))) * _U64(_MUL1)
-    z = (z ^ (z >> _U64(27))) * _U64(_MUL2)
-    return z ^ (z >> _U64(31))
+    return mix64_array(np.asarray(keys, dtype=_U64).reshape(-1, 1) + _U64(GOLDEN_GAMMA) * idx)
 
 
-def stream_uniforms(key: int, start: int, n: int) -> np.ndarray:
-    """``n`` doubles in [0, 1), one stream word each."""
-    return (stream_words(key, start, n) >> _U64(11)).astype(np.float64) * _INV_2_53
+def _top53(words: np.ndarray) -> np.ndarray:
+    words >>= _U64(11)
+    return words.astype(np.float64)
 
 
-def stream_normals(key: int, start: int, n: int) -> np.ndarray:
-    """``n`` standard normals; consumes ``2 * ceil(n / 2)`` stream words."""
+def stream_uniforms(keys, start: int, n: int) -> np.ndarray:
+    """``(R, n)`` doubles in [0, 1), one stream word each."""
+    out = _top53(stream_words(keys, start, n))
+    out *= _INV_2_53
+    return out
+
+
+def stream_normals(keys, start: int, n: int) -> np.ndarray:
+    """``(R, n)`` standard normals; each row consumes ``2 * ceil(n / 2)`` words."""
     m = (n + 1) // 2
-    w1 = stream_words(key, start, m)
-    u1 = ((w1 >> _U64(11)).astype(np.float64) + 1.0) * _INV_2_53  # (0, 1]
-    u2 = stream_uniforms(key, start + m, m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
-    out = np.empty(2 * m)
-    out[:m] = r * np.cos(theta)
-    out[m:] = r * np.sin(theta)
-    return out[:n]
+    u1 = _top53(stream_words(keys, start, m))
+    u1 += 1.0
+    u1 *= _INV_2_53                                    # (0, 1]
+    u2 = stream_uniforms(keys, start + m, m)
+    r = np.log(u1)
+    del u1
+    r *= -2.0
+    r = np.sqrt(r)
+    u2 *= 2.0 * np.pi                                  # theta
+    out = np.empty((r.shape[0], 2 * m))
+    out[:, :m] = r * np.cos(u2)
+    out[:, m:] = r * np.sin(u2)
+    return out[:, :n]
 
 
-def stream_subset(key: int, start: int, pop: int, k: int) -> np.ndarray:
-    """Uniform k-subset of ``range(pop)``, sorted ascending; consumes k words.
+def stream_subset(keys, start: int, pop: int, k: int) -> np.ndarray:
+    """A uniform k-subset of ``range(pop)`` per stream, each row sorted
+    ascending; consumes k words.
 
-    Partial Fisher-Yates driven by the stream's uniforms.
+    Partial Fisher-Yates driven by the stream's uniforms, all rows at once.
     """
-    u = stream_uniforms(key, start, k)
-    idx = np.arange(pop, dtype=np.int64)
+    u = stream_uniforms(keys, start, k)
+    rows = np.arange(u.shape[0])
+    idx = np.tile(np.arange(pop, dtype=np.int64), (u.shape[0], 1))
     for j in range(k):
-        r = j + int(u[j] * (pop - j))
-        idx[j], idx[r] = idx[r], idx[j]
-    picked = idx[:k]
-    picked.sort()
-    return picked
+        r = j + (u[:, j] * (pop - j)).astype(np.int64)
+        picked = idx[rows, r]
+        idx[rows, r] = idx[:, j]
+        idx[:, j] = picked
+    out = idx[:, :k].copy()
+    out.sort(axis=1)
+    return out
 
 
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -84,7 +102,9 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     Returned as int64, sorted ascending.  O(d) selection, no sort: the k-th
     largest magnitude ``thr`` comes from ``np.partition``; every entry above
     ``thr`` is kept, and the remaining slots go to the entries equal to
-    ``thr`` in index order.  ``-0.0`` and ``0.0`` have equal magnitude.
+    ``thr`` in index order.  ``-0.0`` and ``0.0`` have equal magnitude.  When
+    NaN entries leave slots unfilled, NaN counts as an infinite magnitude, so
+    exactly k indices always come back.
     """
     d = values.shape[0]
     if k >= d:
@@ -93,37 +113,52 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     thr = np.partition(a, d - k)[d - k]
     mask = a > thr
     need = k - int(np.count_nonzero(mask))
-    mask[np.flatnonzero(a == thr)[:need]] = True
+    ties = np.flatnonzero(a == thr)
+    if len(ties) < need:   # NaN: np.partition ranks it above every number
+        return topk_indices(np.where(np.isnan(a), np.inf, a), k)
+    mask[ties[:need]] = True
     return np.flatnonzero(mask)
 
 
 def project_decompose(g: np.ndarray, dbar: np.ndarray, eps: float):
-    """Split ``g`` into ``alpha * dbar + g_perp`` with ``dbar . g_perp = 0``.
+    """Split each row ``g[r]`` into ``alpha[r] * dbar[r] + g_perp[r]`` with
+    ``dbar[r] . g_perp[r] = 0``; returns ``(alpha, g_perp)``.
 
-    When ``||dbar||^2 <= eps`` the projection degenerates to ``alpha = 0``,
-    ``g_perp = g``.
+    A row with ``||dbar[r]||^2 <= eps`` degenerates to ``alpha = 0``,
+    ``g_perp = g``.  The inner products are one ``np.dot`` per row.
     """
-    nd = float(np.dot(dbar, dbar))
-    if nd > eps:
-        alpha = float(np.dot(g, dbar)) / nd
-        return alpha, g - alpha * dbar
-    return 0.0, g.copy()
+    alpha = np.zeros(g.shape[0])
+    flat = np.ones(g.shape[0], dtype=bool)
+    for r in range(g.shape[0]):
+        nd = float(np.dot(dbar[r], dbar[r]))
+        if nd > eps:
+            alpha[r] = float(np.dot(g[r], dbar[r])) / nd
+            flat[r] = False
+    perp = alpha[:, None] * dbar
+    np.subtract(g, perp, out=perp)
+    np.copyto(perp, g, where=flat[:, None])
+    return alpha, perp
 
 
-def qsgd_encode(values: np.ndarray, s: int, key: int, start: int):
-    """Dictionary quantization of ``values`` with ``s`` levels.
+def qsgd_encode(values: np.ndarray, s: int, keys, start: int):
+    """Dictionary quantization of each row of ``values`` with ``s`` levels.
 
-    Returns ``(norm, signs, levels)`` where ``signs[j]`` is 1 for negative
-    entries and ``levels[j] in [0, s]`` is the stochastic numerator of the
-    quantized magnitude ``levels[j] / s``.  Consumes ``len(values)`` stream
-    words.  The caller must handle the all-zero vector (norm 0) separately.
+    Returns ``(norm, signs, levels)``: ``norm[r]`` is the row's l2 norm (one
+    ``np.dot`` per row), ``signs[r, j]`` is 1 for negative entries and
+    ``levels[r, j] in [0, s]`` is the stochastic numerator of the quantized
+    magnitude ``levels / s``.  Each row consumes ``values.shape[1]`` words of
+    its stream.  Every row must have a nonzero norm.
     """
-    d = values.shape[0]
-    norm = float(np.sqrt(np.dot(values, values)))
+    norm = np.array([np.sqrt(np.dot(row, row)) for row in values])
     signs = (values < 0.0).astype(np.uint8)
-    scaled = np.abs(values) * (s / norm)
-    low = np.minimum(np.floor(scaled), s - 1)
-    p_low = 1.0 + low - scaled  # P(level == low)
-    u = stream_uniforms(key, start, d)
-    levels = (low + (u >= p_low)).astype(np.int64)
-    return norm, signs, levels
+    scaled = np.abs(values)
+    scaled *= (s / norm)[:, None]
+    low = np.floor(scaled)
+    np.minimum(low, s - 1, out=low)
+    p_low = 1.0 + low
+    p_low -= scaled                                     # P(level == low)
+    low += stream_uniforms(keys, start, values.shape[1]) >= p_low
+    # a row with a non-finite entry gets NaN levels; they become 0 and the
+    # row still decodes to non-finite values through its norm
+    np.nan_to_num(low, copy=False)
+    return norm, signs, low.astype(np.int64)

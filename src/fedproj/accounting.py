@@ -6,10 +6,12 @@ extra transmitted scalar costs ``scalar_bits``.  The server broadcast is
 delta-encoded: only coordinates of the new model whose float32 image differs
 bit-for-bit from the previous broadcast are sent, as value+index pairs.
 
-``serialize_message``/``deserialize_message`` give each message a canonical
-byte form whose length equals ``ceil(message_bits / 8)`` under the default
-cost model with zero header bits; quantized payloads are genuinely bit-packed
-(sign bits then fixed-width levels, MSB first).
+:func:`message_bits` is the one cost model of an upload; it returns one count
+per row (client) of a batched message.  ``serialize_message`` /
+``deserialize_message`` give each row a canonical byte form whose length
+equals ``ceil(message_bits / 8)`` under the default cost model with zero
+header bits; quantized payloads are genuinely bit-packed (sign bits then
+fixed-width levels, MSB first).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -76,22 +78,26 @@ def _level_bits(s_levels: int) -> int:
     return max(1, math.ceil(math.log2(s_levels + 1)))
 
 
-def message_bits(model: CostModel, msg: CompressedMessage, extra_scalars: int = 0) -> int:
-    """Wire cost of one client upload under ``model``.
+def message_bits(model: CostModel, msg: CompressedMessage,
+                 extra_scalars: int = 0) -> np.ndarray:
+    """Wire cost of each row (client upload) of ``msg`` under ``model``, as int64.
 
-    ``extra_scalars`` counts side-channel scalars sent with the message (the
-    projection coefficient of the projecting algorithms).
+    ``extra_scalars`` counts side-channel scalars sent with each row (the
+    projection coefficients of the projecting algorithms).  A quantized row
+    with norm 0 is an empty message: it costs no payload bits.
     """
     payload = msg.payload
     if isinstance(payload, DensePayload):
-        body = msg.dim * model.value_bits
+        body = np.full(msg.rows, msg.dim * model.value_bits)
     elif isinstance(payload, SparsePayload):
-        body = len(payload.values) * (model.value_bits + index_bits(model, msg.dim))
+        body = np.full(msg.rows, payload.indices.shape[1] *
+                       (model.value_bits + index_bits(model, msg.dim)))
     elif isinstance(payload, QuantizedPayload):
-        body = model.value_bits + msg.dim + msg.dim * _level_bits(payload.s_levels)
+        full = model.value_bits + msg.dim + msg.dim * _level_bits(payload.s_levels)
+        body = np.where(payload.norm == 0.0, 0, full)
     else:  # pragma: no cover - exhaustive payload kinds
         raise TypeError(f"unknown payload {type(payload)}")
-    return body + model.header_bits + extra_scalars * model.scalar_bits
+    return body.astype(np.int64) + (model.header_bits + extra_scalars * model.scalar_bits)
 
 
 def changed_coordinates(w_prev, w_next) -> int:
@@ -178,54 +184,57 @@ class _BitReader:
         return out
 
 
-def serialize_message(msg: CompressedMessage) -> bytes:
-    """Canonical bytes; length == ceil(message_bits/8) under the default model."""
+def serialize_message(msg: CompressedMessage, row: int = 0) -> bytes:
+    """Canonical bytes of one row; length == ceil(message_bits/8) under the
+    default model."""
     payload = msg.payload
     if isinstance(payload, DensePayload):
-        return np.asarray(payload.values, dtype="<f4").tobytes()
+        return np.asarray(payload.values[row], dtype="<f4").tobytes()
     if isinstance(payload, SparsePayload):
-        return (np.asarray(payload.values, dtype="<f4").tobytes()
-                + np.asarray(payload.indices, dtype="<u4").tobytes())
+        return (np.asarray(payload.values[row], dtype="<f4").tobytes()
+                + np.asarray(payload.indices[row], dtype="<u4").tobytes())
+    if payload.norm[row] == 0.0:
+        return b""
     writer = _BitWriter()
-    for s in payload.signs:
+    for s in payload.signs[row]:
         writer.write(int(s), 1)
     lb = _level_bits(payload.s_levels)
-    for lev in payload.levels:
+    for lev in payload.levels[row]:
         writer.write(int(lev), lb)
-    return struct.pack("<f", payload.norm) + writer.getvalue()
+    return struct.pack("<f", payload.norm[row]) + writer.getvalue()
 
 
 def deserialize_message(data: bytes, kind: str, dim: int,
                         n_values: Optional[int] = None,
                         s_levels: Optional[int] = None) -> CompressedMessage:
-    """Inverse of :func:`serialize_message`.
+    """Inverse of :func:`serialize_message`: a one-row message.
 
     The wire format carries no header, so the receiver supplies the payload
     ``kind`` (``dense``/``sparse``/``quantized``) and its shape parameters.
     Values come back at float32 precision.
     """
-    from .compressors import CompressedMessage as _Msg  # local to avoid cycle confusion
-
     if kind == "dense":
         values = np.frombuffer(data, dtype="<f4", count=dim).astype(np.float64)
-        payload = DensePayload(values)
+        payload = DensePayload(values[None, :])
     elif kind == "sparse":
         if n_values is None:
             raise ValueError("sparse deserialization needs n_values")
         values = np.frombuffer(data, dtype="<f4", count=n_values).astype(np.float64)
         indices = np.frombuffer(data, dtype="<u4", count=n_values,
                                 offset=4 * n_values).astype(np.int64)
-        payload = SparsePayload(indices, values)
+        payload = SparsePayload(indices[None, :], values[None, :])
     elif kind == "quantized":
         if s_levels is None:
             raise ValueError("quantized deserialization needs s_levels")
-        norm = struct.unpack("<f", data[:4])[0]
-        reader = _BitReader(data[4:])
-        signs = np.array([reader.read(1) for _ in range(dim)], dtype=np.uint8)
-        lb = _level_bits(s_levels)
-        levels = np.array([reader.read(lb) for _ in range(dim)], dtype=np.int64)
-        payload = QuantizedPayload(float(norm), signs, levels, s_levels)
+        norm, signs, levels = 0.0, np.zeros(dim, np.uint8), np.zeros(dim, np.int64)
+        if data:
+            norm = struct.unpack("<f", data[:4])[0]
+            reader = _BitReader(data[4:])
+            signs = np.array([reader.read(1) for _ in range(dim)], dtype=np.uint8)
+            lb = _level_bits(s_levels)
+            levels = np.array([reader.read(lb) for _ in range(dim)], dtype=np.int64)
+        payload = QuantizedPayload(np.array([norm]), signs[None, :], levels[None, :],
+                                   s_levels)
     else:
         raise ValueError(f"unknown payload kind {kind!r}")
-    bits = message_bits(DEFAULT_COST_MODEL, _Msg(payload, dim, 0))
-    return _Msg(payload, dim, bits)
+    return CompressedMessage(payload, dim)

@@ -1,4 +1,4 @@
-"""Mirrored client/server state machines for the eight compressed-FL algorithms.
+"""A round engine for the eight compressed-FL algorithms, all clients at once.
 
 All algorithms share the same round shape: every client turns the broadcast
 model and its local stochastic gradient into a compact upload, and the server
@@ -21,49 +21,62 @@ model.  What varies is the client-side bookkeeping:
   ``h`` that both sides advance; the server adds momentum
   ``D' = beta * D + gamma * h + mean(msg)`` and steps by ``eta``.
 
+The engine holds the state of all ``M`` clients as rows of arrays and runs a
+round as one computation over them.  :func:`client_round` turns the ``(M, d)``
+gradient rows into one batched :class:`ClientUpload` (a message with a row
+per client, plus each row's projection coefficient) and updates
+:class:`Clients` in place; :func:`server_round` decodes that upload itself
+and steps :class:`Server`.  State layout:
+
+* the projecting kinds keep each client's last ``K`` directions in a
+  :class:`History`, a ``(K, M, d)`` ring buffer whose slots are ``(M, d)``
+  blocks; the average is summed oldest first, as ``np.mean`` over the
+  stacked directions does;
+* the error of ``ef``/``projfl_ef``, the ef21 directions and the diana
+  memories are ``(M, d)`` arrays.
+
+Inner products (the projection coefficient, ``||Dbar||^2``) are one
+``np.dot`` per row, and the server reduces the ``(M, d)`` directions with
+one ``np.mean(..., axis=0)``, so every number equals what a loop over the
+clients computes.
+
 The projecting and difference-compressing families need the server to hold a
-bit-exact mirror of each client's direction state; both sides run the same
-reconstruction code on the same ``(coefficient, message)`` pair, so the mirror
-never drifts (this is asserted every round by the harness).
+bit-exact mirror of each client's direction state.  The server rebuilds its
+own mirror from the ``(coefficient, message)`` pairs with the same code the
+clients run, so the mirror never drifts; :func:`assert_mirror` compares the
+two bit for bit every round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
 from . import backend
 from .compressors import CompressedMessage, CompressorSpec, compress, decode
-from .vectors import ParamVector, RngStream
 
 __all__ = [
     "AlgorithmKind",
     "AlgorithmConfig",
-    "ClientState",
-    "ServerState",
+    "History",
+    "Clients",
+    "Server",
     "ClientUpload",
-    "project_decompose",
-    "history_average",
-    "init_client_state",
-    "init_server_state",
+    "init_clients",
+    "init_server",
     "client_round",
     "server_round",
-    "diagnostic_tilde_w",
-    "mirror_matches",
+    "assert_mirror",
     "MirrorDesyncError",
-    "save_snapshot",
-    "load_snapshot",
     "PROJECTION_EPS",
 ]
 
 # degenerate-projection threshold on ||Dbar||^2; below it alpha = 0 and the
 # full gradient goes to the compressor (covers the all-zero initialization)
 PROJECTION_EPS = 1e-30
-
-_SNAPSHOT_VERSION = 1
 
 
 class MirrorDesyncError(AssertionError):
@@ -84,7 +97,6 @@ class AlgorithmKind(str, Enum):
 _PROJECTING = (AlgorithmKind.PROJFL, AlgorithmKind.PROJFL_EF)
 _EF21_FAMILY = (AlgorithmKind.EF21, AlgorithmKind.EF21_GAMMA)
 _DIANA_FAMILY = (AlgorithmKind.DIANA, AlgorithmKind.DIANA_GAMMA)
-_ERROR_CARRYING = (AlgorithmKind.PROJFL_EF, AlgorithmKind.EF)
 
 
 @dataclass(frozen=True)
@@ -122,338 +134,230 @@ class AlgorithmConfig:
         return self.gamma
 
 
-@dataclass(frozen=True)
-class ClientState:
+class History:
+    """The last ``K`` directions of every client: a ``(K, M, d)`` ring buffer.
+
+    Slot ``j % K`` holds direction ``j``; direction 0 is the all-zero start,
+    so a history holds ``min(t + 1, K)`` directions after ``t`` rounds.
+    """
+
+    def __init__(self, K: int, n_clients: int, dim: int):
+        self.buf = np.zeros((K, n_clients, dim))
+        self.count = 1
+        self.newest = 0
+
+    def mean(self) -> np.ndarray:
+        """``(M, d)`` average of the stored directions, summed oldest first."""
+        K = self.buf.shape[0]
+        slots = [(self.newest - j) % K for j in range(self.count - 1, -1, -1)]
+        if len(slots) == 1:
+            return self.buf[slots[0]].copy()
+        if self.buf.shape[2] == 1:
+            # np.mean of one client's (n, 1) stack sums its n values pairwise,
+            # not one after another: reduce each client's values as one row
+            rows = np.ascontiguousarray(self.buf[slots, :, 0].T)
+            return np.mean(rows, axis=1)[:, None]
+        acc = self.buf[slots[0]] + self.buf[slots[1]]
+        for slot in slots[2:]:
+            acc += self.buf[slot]
+        acc /= len(slots)
+        return acc
+
+    def push(self) -> np.ndarray:
+        """The ``(M, d)`` slot the next direction is written into (the oldest
+        direction's, once the window is full)."""
+        K = self.buf.shape[0]
+        self.newest = (self.newest + 1) % K
+        self.count = min(self.count + 1, K)
+        return self.buf[self.newest]
+
+
+@dataclass
+class Clients:
+    """Every client's state, one row each; :func:`client_round` updates it."""
+
     round_index: int
-    history: Optional[Tuple[np.ndarray, ...]] = None  # last <=K directions, oldest first
-    error: Optional[np.ndarray] = None
-    direction: Optional[np.ndarray] = None
-    memory: Optional[np.ndarray] = None
+    history: Optional[History] = None      # projecting kinds
+    error: Optional[np.ndarray] = None     # (M, d), ef and projfl_ef
+    direction: Optional[np.ndarray] = None  # (M, d), ef21 family
+    memory: Optional[np.ndarray] = None    # (M, d), diana family
 
 
-@dataclass(frozen=True)
-class ServerState:
+@dataclass
+class Server:
+    """Model and mirrors; :func:`server_round` updates it."""
+
     round_index: int
     w: np.ndarray
     n_clients: int
-    mirror_history: Optional[Tuple[Tuple[np.ndarray, ...], ...]] = None
-    mirror_direction: Optional[Tuple[np.ndarray, ...]] = None
-    memory: Optional[np.ndarray] = None
-    momentum: Optional[np.ndarray] = None
-
-
-Coefficient = Union[float, Tuple[float, ...], None]
+    mirror_history: Optional[History] = None
+    mirror_direction: Optional[np.ndarray] = None
+    memory: Optional[np.ndarray] = None     # (d,), diana family
+    momentum: Optional[np.ndarray] = None   # (d,), diana family
 
 
 @dataclass(frozen=True)
 class ClientUpload:
+    """One round's uploads: a message row and (projecting kinds) a
+    coefficient row per client, ``(M,)`` flat or ``(M, layers)`` per layer."""
+
     msg: CompressedMessage
-    dbar_coeff: Coefficient = None
+    coeff: Optional[np.ndarray] = None
 
     @property
     def n_scalars(self) -> int:
-        if self.dbar_coeff is None:
+        if self.coeff is None:
             return 0
-        if isinstance(self.dbar_coeff, tuple):
-            return len(self.dbar_coeff)
-        return 1
+        return 1 if self.coeff.ndim == 1 else self.coeff.shape[1]
 
 
-def project_decompose(g: ParamVector, d_bar: ParamVector) -> Tuple[float, ParamVector]:
-    """Split ``g = alpha * d_bar + g_perp`` with ``d_bar . g_perp = 0``.
-
-    Degenerates to ``alpha = 0, g_perp = g`` when ``||d_bar||^2`` is below
-    :data:`PROJECTION_EPS` (the all-zero initialization makes this the round-0
-    behavior: the full gradient is compressed).
-    """
-    if g.dim != d_bar.dim:
-        raise ValueError(f"projection dims differ: {g.dim} vs {d_bar.dim}")
-    alpha, perp = backend.project_decompose(g.values, d_bar.values, PROJECTION_EPS)
-    return alpha, ParamVector(perp, g.layer_partition, copy=False)
-
-
-def _history_mean(history: Sequence[np.ndarray]) -> np.ndarray:
-    if len(history) == 1:
-        return history[0]
-    return np.mean(np.stack(history), axis=0)
-
-
-def history_average(state: ClientState) -> ParamVector:
-    """Mean of the stored directions: ``min(t+1, K)`` of them at round ``t``."""
-    if state.history is None:
-        raise ValueError("state carries no direction history")
-    return ParamVector(_history_mean(state.history), copy=True)
-
-
-def _push_history(history: Tuple[np.ndarray, ...], new: np.ndarray, K: int):
-    out = history + (new,)
-    return out[-K:] if len(out) > K else out
-
-
-def _layer_slices(cfg: AlgorithmConfig, g: ParamVector):
-    if cfg.projection_layerwise and g.layer_partition:
-        return g.layer_partition
-    return None
-
-
-def _decompose(cfg: AlgorithmConfig, g: ParamVector, dbar: np.ndarray):
-    """Flat or per-layer projection; returns (coefficient, g_perp array)."""
-    layers = _layer_slices(cfg, g)
+def _decompose(g: np.ndarray, dbar: np.ndarray, layers):
+    """Flat or per-layer projection of every row; returns (coefficients, g_perp)."""
     if layers is None:
-        alpha, perp = backend.project_decompose(g.values, dbar, PROJECTION_EPS)
-        return alpha, perp
-    alphas = []
-    perp = np.empty(g.dim)
-    for start, stop in layers:
-        a, p = backend.project_decompose(g.values[start:stop], dbar[start:stop],
-                                         PROJECTION_EPS)
-        alphas.append(a)
-        perp[start:stop] = p
-    return tuple(alphas), perp
+        return backend.project_decompose(g, dbar, PROJECTION_EPS)
+    coeff = np.empty((g.shape[0], len(layers)))
+    perp = np.empty_like(g)
+    for j, (start, stop) in enumerate(layers):
+        coeff[:, j], perp[:, start:stop] = backend.project_decompose(
+            g[:, start:stop], dbar[:, start:stop], PROJECTION_EPS)
+    return coeff, perp
 
 
-def _apply_coeff(coeff: Coefficient, dbar: np.ndarray, layers) -> np.ndarray:
-    """``coeff * dbar`` for a flat or per-layer coefficient."""
-    if isinstance(coeff, tuple):
-        out = np.empty_like(dbar)
-        for (start, stop), a in zip(layers, coeff):
-            out[start:stop] = a * dbar[start:stop]
-        return out
-    return coeff * dbar
+def _direction(coeff: np.ndarray, dbar: np.ndarray, decoded: np.ndarray, layers,
+               out: np.ndarray):
+    """``out = coeff * dbar + decoded``, row by row, flat or per layer."""
+    if coeff.ndim == 1:
+        np.multiply(dbar, coeff[:, None], out=out)
+    else:
+        if layers is None:
+            raise ValueError("per-layer coefficients require layer_partition")
+        for j, (start, stop) in enumerate(layers):
+            np.multiply(dbar[:, start:stop], coeff[:, j:j + 1], out=out[:, start:stop])
+    out += decoded
 
 
-def client_round(cfg: AlgorithmConfig, state: ClientState, g: ParamVector,
-                 rng: Optional[RngStream]) -> Tuple[ClientUpload, ClientState]:
-    """One client step: turn the local gradient into an upload and new state."""
+def client_round(cfg: AlgorithmConfig, clients: Clients, g: np.ndarray, keys,
+                 layer_partition=None) -> ClientUpload:
+    """One step of every client: the ``(M, d)`` gradient rows become one
+    upload, and ``clients`` moves to the next round.  ``keys`` are the
+    clients' compressor stream keys."""
     kind = cfg.kind
-    t = state.round_index
+    clients.round_index += 1
 
     if kind in _PROJECTING:
-        dbar = _history_mean(state.history)
-        coeff, g_perp = _decompose(cfg, g, dbar)
-        layers = _layer_slices(cfg, g)
-        if kind is AlgorithmKind.PROJFL:
-            msg = compress(cfg.compressor, ParamVector(g_perp, g.layer_partition, copy=False), rng)
-            new_dir = _apply_coeff(coeff, dbar, layers) + decode(msg).values
-            upload = ClientUpload(msg, coeff)
-            new_state = ClientState(t + 1, history=_push_history(state.history, new_dir, cfg.K))
-        else:
-            carried = cfg.eta * g_perp + state.error
-            msg = compress(cfg.compressor, ParamVector(carried, g.layer_partition, copy=False), rng)
-            decoded = decode(msg).values
-            scaled = (tuple(cfg.eta * a for a in coeff) if isinstance(coeff, tuple)
-                      else cfg.eta * coeff)
-            new_dir = _apply_coeff(scaled, dbar, layers) + decoded
-            upload = ClientUpload(msg, scaled)
-            new_state = ClientState(t + 1,
-                                    history=_push_history(state.history, new_dir, cfg.K),
-                                    error=carried - decoded)
-        return upload, new_state
+        layers = layer_partition if cfg.projection_layerwise and layer_partition else None
+        dbar = clients.history.mean()
+        coeff, carried = _decompose(g, dbar, layers)
+        del g   # the caller passes its only reference: free the rows early
+        if kind is AlgorithmKind.PROJFL_EF:
+            coeff *= cfg.eta
+            carried *= cfg.eta
+            carried += clients.error
+        msg = compress(cfg.compressor, carried, keys, layer_partition)
+        decoded = decode(msg)
+        _direction(coeff, dbar, decoded, layers, out=clients.history.push())
+        if kind is AlgorithmKind.PROJFL_EF:
+            np.subtract(carried, decoded, out=clients.error)
+        return ClientUpload(msg, coeff)
 
     if kind is AlgorithmKind.FEDAVG:
-        msg = compress(cfg.compressor, g, rng)
-        return ClientUpload(msg), ClientState(t + 1)
+        return ClientUpload(compress(cfg.compressor, g, keys, layer_partition))
 
     if kind is AlgorithmKind.EF:
-        carried = g.values + cfg.zeta * state.error
-        msg = compress(cfg.compressor, ParamVector(carried, g.layer_partition, copy=False), rng)
-        new_error = carried - decode(msg).values
-        return ClientUpload(msg), ClientState(t + 1, error=new_error)
-
-    if kind in _EF21_FAMILY:
-        gamma = cfg.effective_gamma
-        residual = g.values - gamma * state.direction
-        msg = compress(cfg.compressor, ParamVector(residual, g.layer_partition, copy=False), rng)
-        new_dir = gamma * state.direction + decode(msg).values
-        return ClientUpload(msg), ClientState(t + 1, direction=new_dir)
+        carried = cfg.zeta * clients.error
+        carried += g
+        msg = compress(cfg.compressor, carried, keys, layer_partition)
+        np.subtract(carried, decode(msg), out=clients.error)
+        return ClientUpload(msg)
 
     gamma = cfg.effective_gamma
-    residual = g.values - gamma * state.memory
-    msg = compress(cfg.compressor, ParamVector(residual, g.layer_partition, copy=False), rng)
-    new_mem = gamma * state.memory + cfg.diana_alpha * decode(msg).values
-    return ClientUpload(msg), ClientState(t + 1, memory=new_mem)
+    state = clients.direction if kind in _EF21_FAMILY else clients.memory
+    kept = gamma * state
+    msg = compress(cfg.compressor, g - kept, keys, layer_partition)
+    decoded = decode(msg)
+    if kind in _DIANA_FAMILY:
+        decoded *= cfg.diana_alpha
+    np.add(kept, decoded, out=state)
+    return ClientUpload(msg)
 
 
-def _mean_stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return np.mean(np.stack(arrays), axis=0)
+def server_round(cfg: AlgorithmConfig, server: Server, upload: ClientUpload,
+                 layer_partition=None):
+    """Aggregate one round's upload (a row per client) into the next model.
 
-
-def server_round(cfg: AlgorithmConfig, server: ServerState,
-                 uploads: Sequence[ClientUpload],
-                 layer_partition=None) -> ServerState:
-    """Aggregate one upload per client (in client order) into the next model.
-
-    ``layer_partition`` is only consulted when uploads carry per-layer
+    ``layer_partition`` is only consulted when the upload carries per-layer
     projection coefficients (layerwise projection enabled).
     """
-    if len(uploads) != server.n_clients:
-        raise ValueError(f"expected {server.n_clients} uploads, got {len(uploads)}")
+    if upload.msg.rows != server.n_clients:
+        raise ValueError(f"expected {server.n_clients} uploads, got {upload.msg.rows}")
     kind = cfg.kind
-    t = server.round_index
+    server.round_index += 1
+    decoded = decode(upload.msg)
 
     if kind in _PROJECTING:
-        new_mirror = []
-        directions = []
-        for i, up in enumerate(uploads):
-            dbar = _history_mean(server.mirror_history[i])
-            decoded = decode(up.msg).values
-            if isinstance(up.dbar_coeff, tuple) and layer_partition is None:
-                raise ValueError("per-layer coefficients require layer_partition")
-            new_dir = _apply_coeff(up.dbar_coeff, dbar, layer_partition) + decoded
-            directions.append(new_dir)
-            new_mirror.append(_push_history(server.mirror_history[i], new_dir, cfg.K))
+        dbar = server.mirror_history.mean()
+        directions = server.mirror_history.push()
+        _direction(upload.coeff, dbar, decoded, layer_partition, out=directions)
         step = cfg.eta if kind is AlgorithmKind.PROJFL else 1.0
-        w_new = server.w - step * _mean_stack(directions)
-        return ServerState(t + 1, w_new, server.n_clients, mirror_history=tuple(new_mirror))
-
-    if kind in (AlgorithmKind.FEDAVG, AlgorithmKind.EF):
-        mean_msg = _mean_stack([decode(up.msg).values for up in uploads])
-        return ServerState(t + 1, server.w - cfg.eta * mean_msg, server.n_clients)
-
-    if kind in _EF21_FAMILY:
+        server.w = server.w - step * np.mean(directions, axis=0)
+    elif kind in (AlgorithmKind.FEDAVG, AlgorithmKind.EF):
+        server.w = server.w - cfg.eta * np.mean(decoded, axis=0)
+    elif kind in _EF21_FAMILY:
+        np.add(cfg.effective_gamma * server.mirror_direction, decoded,
+               out=server.mirror_direction)
+        server.w = server.w - cfg.eta * np.mean(server.mirror_direction, axis=0)
+    else:
         gamma = cfg.effective_gamma
-        new_dirs = tuple(gamma * server.mirror_direction[i] + decode(up.msg).values
-                         for i, up in enumerate(uploads))
-        w_new = server.w - cfg.eta * _mean_stack(new_dirs)
-        return ServerState(t + 1, w_new, server.n_clients, mirror_direction=new_dirs)
-
-    gamma = cfg.effective_gamma
-    mean_msg = _mean_stack([decode(up.msg).values for up in uploads])
-    new_momentum = cfg.diana_beta * server.momentum + gamma * server.memory + mean_msg
-    new_memory = gamma * server.memory + cfg.diana_alpha * mean_msg
-    w_new = server.w - cfg.eta * new_momentum
-    return ServerState(t + 1, w_new, server.n_clients,
-                       memory=new_memory, momentum=new_momentum)
+        mean_msg = np.mean(decoded, axis=0)
+        server.momentum = cfg.diana_beta * server.momentum + gamma * server.memory + mean_msg
+        server.memory = gamma * server.memory + cfg.diana_alpha * mean_msg
+        server.w = server.w - cfg.eta * server.momentum
 
 
-def init_client_state(cfg: AlgorithmConfig, dim: int) -> ClientState:
+def init_clients(cfg: AlgorithmConfig, n_clients: int, dim: int) -> Clients:
     kind = cfg.kind
-    zero = np.zeros(dim)
+    zeros = np.zeros((n_clients, dim))
     if kind in _PROJECTING:
-        error = zero.copy() if kind is AlgorithmKind.PROJFL_EF else None
-        return ClientState(0, history=(zero,), error=error)
+        error = zeros if kind is AlgorithmKind.PROJFL_EF else None
+        return Clients(0, history=History(cfg.K, n_clients, dim), error=error)
     if kind is AlgorithmKind.EF:
-        return ClientState(0, error=zero)
+        return Clients(0, error=zeros)
     if kind in _EF21_FAMILY:
-        return ClientState(0, direction=zero)
+        return Clients(0, direction=zeros)
     if kind in _DIANA_FAMILY:
-        return ClientState(0, memory=zero)
-    return ClientState(0)
+        return Clients(0, memory=zeros)
+    return Clients(0)
 
 
-def init_server_state(cfg: AlgorithmConfig, w0: ParamVector, n_clients: int) -> ServerState:
+def init_server(cfg: AlgorithmConfig, w0: np.ndarray, n_clients: int) -> Server:
     kind = cfg.kind
-    dim = w0.dim
-    w = w0.values.copy()
+    dim = w0.shape[0]
+    w = np.array(w0, dtype=np.float64)
     if kind in _PROJECTING:
-        mirrors = tuple((np.zeros(dim),) for _ in range(n_clients))
-        return ServerState(0, w, n_clients, mirror_history=mirrors)
+        return Server(0, w, n_clients, mirror_history=History(cfg.K, n_clients, dim))
     if kind in _EF21_FAMILY:
-        return ServerState(0, w, n_clients,
-                           mirror_direction=tuple(np.zeros(dim) for _ in range(n_clients)))
+        return Server(0, w, n_clients, mirror_direction=np.zeros((n_clients, dim)))
     if kind in _DIANA_FAMILY:
-        return ServerState(0, w, n_clients,
-                           memory=np.zeros(dim), momentum=np.zeros(dim))
-    return ServerState(0, w, n_clients)
+        return Server(0, w, n_clients, memory=np.zeros(dim), momentum=np.zeros(dim))
+    return Server(0, w, n_clients)
 
 
-def diagnostic_tilde_w(server: ServerState, client_states: Sequence[ClientState]) -> ParamVector:
-    """The error-shifted iterate ``w - mean_i(e_i)``; diagnostics only."""
-    errors = [st.error for st in client_states]
-    if any(e is None for e in errors):
-        raise ValueError("tilde-w diagnostic requires an error-carrying algorithm")
-    return ParamVector(server.w - _mean_stack(errors), copy=False)
+def assert_mirror(server: Server, clients: Clients, seed: Optional[int] = None):
+    """Bit-exact comparison of the server's mirrors with the clients' state.
 
-
-def mirror_matches(server: ServerState, client_states: Sequence[ClientState]) -> bool:
-    """Bit-exact comparison of server mirrors against client state."""
-    if server.mirror_history is not None:
-        return all(
-            len(mh) == len(cs.history) and
-            all(np.array_equal(a, b) for a, b in zip(mh, cs.history))
-            for mh, cs in zip(server.mirror_history, client_states))
-    if server.mirror_direction is not None:
-        return all(np.array_equal(md, cs.direction)
-                   for md, cs in zip(server.mirror_direction, client_states))
-    return True
-
-
-def assert_mirror(server: ServerState, client_states: Sequence[ClientState]):
-    if not mirror_matches(server, client_states):
-        raise MirrorDesyncError(
-            f"server mirror diverged from client state at round {server.round_index}")
-
-
-# --- state snapshots (binary, versioned) -----------------------------------
-
-def _pack_optional(container: dict, key: str, value):
-    if value is not None:
-        container[key] = value
-
-
-def save_snapshot(path, cfg: AlgorithmConfig, server: ServerState,
-                  client_states: Sequence[ClientState]):
-    """Versioned binary snapshot sufficient to resume a run mid-trajectory.
-
-    Stream state never needs saving: draws are keyed by (seed, client, round,
-    purpose), so resuming at round t replays exactly what a full run would do.
+    Raises :class:`MirrorDesyncError` naming the seed, the round, the first
+    client row that differs and the array it differs in.
     """
-    arrays = {"w": server.w}
-    meta = {
-        "version": _SNAPSHOT_VERSION,
-        "kind": cfg.kind.value,
-        "round": server.round_index,
-        "n_clients": server.n_clients,
-    }
-    for i, cs in enumerate(client_states):
-        if cs.history is not None:
-            meta[f"hist_len_{i}"] = len(cs.history)
-            for j, hvec in enumerate(cs.history):
-                arrays[f"hist_{i}_{j}"] = hvec
-        if cs.error is not None:
-            arrays[f"err_{i}"] = cs.error
-        if cs.direction is not None:
-            arrays[f"dir_{i}"] = cs.direction
-        if cs.memory is not None:
-            arrays[f"mem_{i}"] = cs.memory
-    if server.memory is not None:
-        arrays["srv_mem"] = server.memory
-    if server.momentum is not None:
-        arrays["srv_mom"] = server.momentum
-    np.savez(path, **arrays, **{k: np.asarray(v) for k, v in meta.items()})
-
-
-def load_snapshot(path, cfg: AlgorithmConfig) -> Tuple[ServerState, List[ClientState]]:
-    data = np.load(path)
-    version = int(data["version"])
-    if version != _SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {version}")
-    kind = AlgorithmKind(str(data["kind"]))
-    if kind is not cfg.kind:
-        raise ValueError(f"snapshot is for {kind.value}, config says {cfg.kind.value}")
-    t = int(data["round"])
-    n_clients = int(data["n_clients"])
-    w = data["w"]
-    clients = []
-    mirror_history = [] if kind in _PROJECTING else None
-    mirror_direction = [] if kind in _EF21_FAMILY else None
-    for i in range(n_clients):
-        history = None
-        if f"hist_len_{i}" in data:
-            history = tuple(data[f"hist_{i}_{j}"] for j in range(int(data[f"hist_len_{i}"])))
-            mirror_history.append(history)
-        direction = data[f"dir_{i}"] if f"dir_{i}" in data else None
-        if direction is not None:
-            mirror_direction.append(direction)
-        clients.append(ClientState(
-            t, history=history,
-            error=data[f"err_{i}"] if f"err_{i}" in data else None,
-            direction=direction,
-            memory=data[f"mem_{i}"] if f"mem_{i}" in data else None))
-    server = ServerState(
-        t, w, n_clients,
-        mirror_history=tuple(mirror_history) if mirror_history is not None else None,
-        mirror_direction=tuple(mirror_direction) if mirror_direction is not None else None,
-        memory=data["srv_mem"] if "srv_mem" in data else None,
-        momentum=data["srv_mom"] if "srv_mom" in data else None)
-    return server, clients
+    if server.mirror_history is not None:
+        name, mine, theirs = "history", clients.history.buf, server.mirror_history.buf
+    elif server.mirror_direction is not None:
+        name, mine, theirs = "direction", clients.direction, server.mirror_direction
+    else:
+        return
+    a, b = mine.view(np.uint64), theirs.view(np.uint64)
+    if np.array_equal(a, b):
+        return
+    differs = (a != b).reshape(-1, server.n_clients, a.shape[-1]).any(axis=(0, 2))
+    raise MirrorDesyncError(
+        f"seed {seed}, round {server.round_index}: the server's mirror of client "
+        f"{int(np.flatnonzero(differs)[0])} differs from the client's {name}")

@@ -52,7 +52,6 @@ from .harness import (
     lemma_precheck,
     read_metrics_csv,
     run,
-    select_output,
     theorem1_eta_cap,
     theorem1_precheck,
     theorem2_eta_cap,
@@ -63,7 +62,7 @@ from .harness import (
     write_metrics_csv,
 )
 from .objectives import NoiseKind, NoiseModel, ObjectiveKind
-from .vectors import ParamVector, StreamPurpose, derive_stream
+from .vectors import StreamPurpose, stream_keys
 
 __all__ = ["main", "parse_config_file", "ConfigError", "VERIFY_ITEMS"]
 
@@ -326,8 +325,8 @@ def cmd_run(args) -> int:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     diverged = [r.seed for r in results if r.diverged_at is not None]
     if diverged:
-        print(f"divergence: seeds {diverged} exceeded the iterate-norm guard",
-              file=sys.stderr)
+        print(f"divergence: seeds {diverged} left the iterate guard (an entry not "
+              f"finite or a norm above divergence_threshold)", file=sys.stderr)
         return 2
     print(f"wrote {out / 'metrics.csv'} ({len(results)} seeds x "
           f"{len(results[0].rows)} rows)")
@@ -409,8 +408,8 @@ def _certify_randk(spec: CompressorSpec, dim: int) -> List[str]:
         acc = np.zeros(dim)
         second = 0.0
         for r in range(n):
-            v = decode(compress(spec, ParamVector(g),
-                                derive_stream(0, 0, r, StreamPurpose.COMPRESSOR))).values
+            v = decode(compress(spec, g[None, :],
+                                stream_keys(0, 0, r, StreamPurpose.COMPRESSOR)))[0]
             acc += v / n
             second += float(v @ v) / n
         lines.append(f"  Monte-Carlo ({n} trials): max |mean - g| = "
@@ -423,15 +422,15 @@ def _certify_topk(spec: CompressorSpec, dim: int) -> List[str]:
     delta = estimate_delta(spec, dim)
     k = k_eff(spec.k_fraction, dim)
     lines = [f"topk d={dim} k_eff={k}: delta = {delta:.12g}"]
-    witness = ParamVector(np.ones(dim))
-    err = decode(compress(spec, witness)).values - witness.values
+    witness = np.ones((1, dim))
+    err = (decode(compress(spec, witness)) - witness)[0]
     lines.append(f"  worst-case witness (all-equal magnitudes): ||C(g)-g||^2 = "
                  f"{float(err @ err):.12g} = (1-delta)*||g||^2 = {(1 - delta) * dim:.12g}")
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(10_000):
         g = rng.standard_normal(dim)
-        err = decode(compress(spec, ParamVector(g))).values - g
+        err = decode(compress(spec, g[None, :]))[0] - g
         worst = max(worst, float(err @ err) / float(g @ g))
     lines.append(f"  10000 random vectors: max ||C(g)-g||^2/||g||^2 = {worst:.6f} "
                  f"<= 1-delta = {1 - delta:.6f}")
@@ -465,8 +464,8 @@ def _certify_qsgd(spec: CompressorSpec, dim: int) -> List[str]:
     n = 10_000
     second = 0.0
     for r in range(n):
-        v = decode(compress(spec, ParamVector(g),
-                            derive_stream(0, 0, r, StreamPurpose.COMPRESSOR))).values
+        v = decode(compress(spec, g[None, :],
+                            stream_keys(0, 0, r, StreamPurpose.COMPRESSOR)))[0]
         second += float(v @ v) / n
     lines.append(f"  Monte-Carlo ({n} trials): E||C(g)||^2 / (beta*||g||^2) = "
                  f"{second / (beta * float(g @ g)):.4f} (<= 1 expected)")
@@ -516,7 +515,10 @@ def preset_path(name: str) -> Path:
     base = resources.files("fedproj").joinpath("presets")
     candidate = base.joinpath(f"{name}.cfg")
     if not candidate.is_file():
-        available = sorted(p.name[:-4] for p in base.iterdir() if p.name.endswith(".cfg"))
+        available = sorted(p.name[:-4] for p in base.iterdir()
+                           if p.name.endswith(".cfg")) if base.is_dir() else []
+        if not available:
+            raise FileNotFoundError(f"no preset {name!r}: no presets are bundled")
         raise FileNotFoundError(f"no preset {name!r}; available: {', '.join(available)}")
     return Path(str(candidate))
 

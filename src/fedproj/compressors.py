@@ -1,4 +1,11 @@
-"""Compression operators mapping gradients to compact wire messages.
+"""Compression operators mapping the clients' vectors to compact wire messages.
+
+:func:`compress` takes one vector per client as the rows of an ``(R, d)``
+array and returns one :class:`CompressedMessage` whose payload arrays carry
+a leading row axis; row ``r`` is client ``r``'s upload.  Random kinds draw
+row ``r`` from the stream keyed ``keys[r]``.  :func:`decode` returns the
+``(R, d)`` rows the message encodes.  What a message costs on the wire is
+``accounting.message_bits``.
 
 Four kinds are supported:
 
@@ -11,9 +18,10 @@ Four kinds are supported:
   ``norm * sign * level/s`` where ``level`` rounds ``s*|g_j|/norm``
   stochastically up or down so the operator is unbiased.
 
-Sparsifiers honor the layer partition when ``layerwise`` is set (each layer
-keeps its own ``k_eff = max(1, round(k_fraction * layer_dim))``); quantization
-always acts on the flat vector, so ``layerwise`` QSGD is rejected.
+Sparsifiers honor the layer partition passed to :func:`compress` when
+``layerwise`` is set (each layer keeps its own
+``k_eff = max(1, round(k_fraction * layer_dim))``); quantization always acts
+on the flat vector, so ``layerwise`` QSGD is rejected.
 
 Certificates
 ------------
@@ -34,12 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import backend
-from .vectors import LayerPartition, ParamVector, RngStream
+from .vectors import LayerPartition
 
 __all__ = [
     "CompressorKind",
@@ -55,10 +63,6 @@ __all__ = [
     "k_eff",
     "BiasedCompressorError",
 ]
-
-# Wire precision of the default cost model; must stay in sync with accounting.
-_VALUE_BITS = 32
-_INDEX_BITS = 32
 
 
 class BiasedCompressorError(ValueError):
@@ -96,36 +100,37 @@ def k_eff(k_fraction: float, layer_dim: int) -> int:
 
 @dataclass(frozen=True)
 class DensePayload:
-    values: np.ndarray
+    values: np.ndarray  # (R, d)
 
 
 @dataclass(frozen=True)
 class SparsePayload:
-    indices: np.ndarray  # int64, strictly increasing
-    values: np.ndarray
+    indices: np.ndarray  # (R, k) int64, each row strictly increasing
+    values: np.ndarray   # (R, k)
 
     def __post_init__(self):
-        if len(self.indices) != len(self.values):
-            raise ValueError("sparse indices and values must have equal length")
-        if len(self.indices) and np.any(np.diff(self.indices) <= 0):
+        if self.indices.shape != self.values.shape:
+            raise ValueError("sparse indices and values must have equal shapes")
+        if np.any(np.diff(self.indices, axis=1) <= 0):
             raise ValueError("sparse indices must be strictly increasing")
-        if not np.isfinite(self.values).all():
-            raise ValueError("sparse values must be finite")
 
 
 @dataclass(frozen=True)
 class QuantizedPayload:
-    norm: float
-    signs: np.ndarray   # uint8, 1 = negative
-    levels: np.ndarray  # int64 in [0, s_levels]
+    """Row ``r`` decodes to ``norm[r] * sign * levels[r] / s_levels``; a row
+    with ``norm[r] == 0`` (an all-zero input row) is sent as an empty message."""
+
+    norm: np.ndarray    # (R,)
+    signs: np.ndarray   # (R, d) uint8, 1 = negative
+    levels: np.ndarray  # (R, d) int64 in [0, s_levels]
     s_levels: int
 
     def __post_init__(self):
-        if self.norm < 0.0:
+        if np.any(self.norm < 0.0):
             raise ValueError("quantized norm must be >= 0")
-        if len(self.signs) != len(self.levels):
-            raise ValueError("signs and levels must have equal length")
-        if len(self.levels) and (self.levels.min() < 0 or self.levels.max() > self.s_levels):
+        if self.signs.shape != self.levels.shape or self.norm.shape != self.levels.shape[:1]:
+            raise ValueError("norm, signs and levels must have matching shapes")
+        if self.levels.size and (self.levels.min() < 0 or self.levels.max() > self.s_levels):
             raise ValueError(f"levels must lie in [0, {self.s_levels}]")
 
 
@@ -136,100 +141,87 @@ Payload = Union[DensePayload, SparsePayload, QuantizedPayload]
 class CompressedMessage:
     payload: Payload
     dim: int
-    bit_size: int
 
     def __post_init__(self):
         if isinstance(self.payload, DensePayload):
-            if len(self.payload.values) != self.dim:
+            if self.payload.values.shape[1] != self.dim:
                 raise ValueError("dense payload length must equal dim")
         elif isinstance(self.payload, SparsePayload):
-            if len(self.payload.indices) and self.payload.indices.max() >= self.dim:
+            if self.payload.indices.size and self.payload.indices.max() >= self.dim:
                 raise ValueError("sparse index out of range")
         elif isinstance(self.payload, QuantizedPayload):
-            if len(self.payload.levels) != self.dim:
+            if self.payload.levels.shape[1] != self.dim:
                 raise ValueError("quantized payload length must equal dim")
-        if self.bit_size < 0:
-            raise ValueError("bit_size must be >= 0")
+
+    @property
+    def rows(self) -> int:
+        p = self.payload
+        return (p.levels if isinstance(p, QuantizedPayload) else p.values).shape[0]
 
 
-def _payload_bits(payload: Payload, dim: int) -> int:
-    # Mirrors accounting.message_bits under the default cost model; the
-    # accounting tests cross-check the two.
-    if isinstance(payload, DensePayload):
-        return dim * _VALUE_BITS
-    if isinstance(payload, SparsePayload):
-        return len(payload.values) * (_VALUE_BITS + _INDEX_BITS)
-    level_bits = max(1, int(np.ceil(np.log2(payload.s_levels + 1))))
-    return _VALUE_BITS + dim + dim * level_bits
+def compress(spec: CompressorSpec, x: np.ndarray, keys=None,
+             layer_partition: Optional[LayerPartition] = None) -> CompressedMessage:
+    """Apply the operator to every row of ``x`` and package the result.
 
-
-def _make_message(payload: Payload, dim: int) -> CompressedMessage:
-    return CompressedMessage(payload, dim, _payload_bits(payload, dim))
-
-
-def _layer_ranges(g: ParamVector, spec: CompressorSpec) -> LayerPartition:
-    return g.layers() if spec.layerwise else ((0, g.dim),)
-
-
-def compress(spec: CompressorSpec, g: ParamVector, rng: Optional[RngStream] = None) -> CompressedMessage:
-    """Apply the operator and package the result for the wire.
-
-    ``rng`` is consumed by the random kinds (randk, qsgd) and ignored
-    otherwise.  The all-zero vector short-circuits qsgd to an exact empty
-    sparse message since its magnitude ratios are undefined at norm zero.
+    ``keys`` (one stream key per row) drive the random kinds (randk, qsgd)
+    and are ignored otherwise.  ``layer_partition`` is used by the
+    ``layerwise`` sparsifiers.  An all-zero row short-circuits qsgd to an
+    empty message, since its magnitude ratios are undefined at norm zero.
     """
     kind = spec.kind
-    arr = g.values
-    d = g.dim
+    rows, d = x.shape
 
     if kind is CompressorKind.IDENTITY:
-        return _make_message(DensePayload(arr.copy()), d)
+        return CompressedMessage(DensePayload(x.copy()), d)
+    if keys is None and kind in (CompressorKind.RANDK, CompressorKind.QSGD):
+        raise ValueError(f"{kind.value} requires stream keys")
 
     if kind is CompressorKind.QSGD:
-        if rng is None:
-            raise ValueError("qsgd requires an rng stream")
-        if not arr.any():
-            return _make_message(SparsePayload(np.empty(0, np.int64), np.empty(0)), d)
-        norm, signs, levels = backend.qsgd_encode(arr, spec.s_levels, rng.key, rng.offset)
-        rng.offset += d
-        return _make_message(QuantizedPayload(norm, signs, levels, spec.s_levels), d)
+        norm = np.zeros(rows)
+        signs = np.zeros((rows, d), dtype=np.uint8)
+        levels = np.zeros((rows, d), dtype=np.int64)
+        live = x.any(axis=1)
+        if live.any():
+            norm[live], signs[live], levels[live] = backend.qsgd_encode(
+                x[live], spec.s_levels, keys[live], 0)
+        return CompressedMessage(QuantizedPayload(norm, signs, levels, spec.s_levels), d)
 
+    layers = layer_partition if spec.layerwise and layer_partition else ((0, d),)
     idx_parts = []
     val_parts = []
-    for start, stop in _layer_ranges(g, spec):
+    word = 0
+    for start, stop in layers:
         ldim = stop - start
         k = k_eff(spec.k_fraction, ldim)
+        block = x[:, start:stop]
         if kind is CompressorKind.TOPK:
-            local = backend.topk_indices(arr[start:stop], k)
-            vals = arr[start + local]
+            local = np.stack([backend.topk_indices(row, k) for row in block])
+            vals = np.take_along_axis(block, local, axis=1)
         else:  # RANDK
-            if rng is None:
-                raise ValueError("randk requires an rng stream")
-            local = rng.subset(ldim, k)
-            vals = (ldim / k) * arr[start + local]
-        idx_parts.append(start + local)
+            local = backend.stream_subset(keys, word, ldim, k)
+            word += k
+            vals = (ldim / k) * np.take_along_axis(block, local, axis=1)
+        idx_parts.append(local + start)
         val_parts.append(vals)
-    indices = np.concatenate(idx_parts).astype(np.int64)
-    values = np.concatenate(val_parts)
-    return _make_message(SparsePayload(indices, values), d)
+    return CompressedMessage(SparsePayload(np.concatenate(idx_parts, axis=1),
+                                           np.concatenate(val_parts, axis=1)), d)
 
 
-def decode(msg: CompressedMessage) -> ParamVector:
-    """Reconstruct the dense vector a message encodes."""
+def decode(msg: CompressedMessage) -> np.ndarray:
+    """The ``(R, d)`` rows a message encodes."""
     payload = msg.payload
     if isinstance(payload, DensePayload):
-        return ParamVector(payload.values, copy=True)
+        return payload.values.copy()
     if isinstance(payload, SparsePayload):
-        if len(payload.indices) and payload.indices.max() >= msg.dim:
+        if payload.indices.size and payload.indices.max() >= msg.dim:
             raise ValueError("sparse index out of range")
-        out = np.zeros(msg.dim)
-        out[payload.indices] = payload.values
-        return ParamVector(out, copy=False)
+        out = np.zeros((payload.indices.shape[0], msg.dim))
+        np.put_along_axis(out, payload.indices, payload.values, axis=1)
+        return out
     if payload.levels.max(initial=0) > payload.s_levels:
         raise ValueError("quantization level exceeds s_levels")
-    magnitudes = payload.norm * payload.levels / payload.s_levels
-    out = np.where(payload.signs == 1, -magnitudes, magnitudes)
-    return ParamVector(out, copy=False)
+    magnitudes = payload.norm[:, None] * payload.levels / payload.s_levels
+    return np.where(payload.signs == 1, -magnitudes, magnitudes)
 
 
 def _worst_layer_dims(dim: int, layer_partition: Optional[LayerPartition],

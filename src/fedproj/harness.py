@@ -2,9 +2,16 @@
 
 A run is declarative: :class:`RunConfig` names the objective, algorithm,
 noise model, horizon and seeds, and :func:`run` executes every seed's
-client/server round loop, recording per-round metrics and exact traffic
-counts.  Runs are deterministic per seed (keyed random streams) and seeds are
-independent, so parallel execution cannot change any number.
+round loop, recording per-round metrics and exact traffic counts.  A round
+is a handful of batched calls over all ``M`` clients: the gradient rows
+(:func:`~fedproj.objectives.stochastic_gradient`), the clients' step
+(:func:`~fedproj.algorithms.client_round`), the server's step and the
+mirror check, then the bit counts.  Each client draws from streams keyed by
+``(seed, client, round, purpose)``, derived for all clients at once, so
+runs are deterministic per seed and seeds are independent: parallel
+execution cannot change any number.  A seed diverges, and its loop stops,
+when the iterate is not finite or its norm exceeds
+``divergence_threshold``.
 
 The objective is built once per command: building it costs eigenvalue
 solves and a probe grid, and it never changes after construction.  The
@@ -28,7 +35,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,13 +47,11 @@ from .algorithms import (
     AlgorithmKind,
     assert_mirror,
     client_round,
-    diagnostic_tilde_w,
-    init_client_state,
-    init_server_state,
+    init_clients,
+    init_server,
     server_round,
 )
 from .compressors import (
-    CompressorKind,
     beta_certified,
     delta_certified,
     estimate_beta,
@@ -61,7 +66,7 @@ from .objectives import (
     make_tiny_mlp,
     stochastic_gradient,
 )
-from .vectors import ParamVector, StreamPurpose, derive_stream
+from .vectors import ParamVector, StreamPurpose, derive_stream, stream_keys
 
 __all__ = [
     "ObjectiveConfig",
@@ -201,21 +206,18 @@ class SeedResult:
     w_final: Optional[np.ndarray] = None
 
 
-def _metrics_row(obj, cfg: RunConfig, t, w_arr, clients, server,
-                 up_bits, down_bits, cum_up, cum_down) -> RoundMetrics:
-    w = ParamVector(w_arr, obj.layer_partition, copy=True)
-    loss, grad = obj.loss_grad(w)
+def _metrics_row(obj, t, w_arr, clients, up_bits, down_bits, cum_up,
+                 cum_down) -> RoundMetrics:
+    loss, grad = obj.loss_grad(w_arr)
     loss_gap = None if obj.f_star is None else loss - obj.f_star
     dist = None
     if obj.w_star is not None:
         diff = w_arr - obj.w_star.values
         dist = float(diff @ diff)
     err_mean_sq = err_norm = None
-    if cfg.algorithm.kind in (AlgorithmKind.PROJFL_EF, AlgorithmKind.EF):
-        errs = [cs.error for cs in clients]
-        err_mean_sq = float(np.mean([e @ e for e in errs]))
-        mean_err = np.mean(np.stack(errs), axis=0)
-        err_norm = float(np.linalg.norm(mean_err))
+    if clients.error is not None:
+        err_mean_sq = float(np.mean([e @ e for e in clients.error]))
+        err_norm = float(np.linalg.norm(np.mean(clients.error, axis=0)))
     return RoundMetrics(t, loss, loss_gap, float(grad @ grad), dist,
                         err_mean_sq, err_norm, up_bits, down_bits, cum_up, cum_down)
 
@@ -225,8 +227,9 @@ def run_seed(config: RunConfig, obj: FederatedObjective, seed: int) -> SeedResul
     the cumulative traffic spent to reach it."""
     alg = config.algorithm
     M = obj.M
-    clients = [init_client_state(alg, obj.d) for _ in range(M)]
-    server = init_server_state(alg, ParamVector.zeros(obj.d), M)
+    ids = np.arange(M)
+    clients = init_clients(alg, M, obj.d)
+    server = init_server(alg, np.zeros(obj.d), M)
     ledger = TrafficLedger()
     rows: List[RoundMetrics] = []
     diverged_at = None
@@ -234,39 +237,31 @@ def run_seed(config: RunConfig, obj: FederatedObjective, seed: int) -> SeedResul
     def record(t, up_bits, down_bits):
         if t % config.cadence == 0 or t == config.rounds:
             cum_up, cum_down, _ = ledger.cumulative()
-            rows.append(_metrics_row(obj, config, t, server.w, clients, server,
-                                     up_bits, down_bits, cum_up, cum_down))
+            rows.append(_metrics_row(obj, t, server.w, clients, up_bits, down_bits,
+                                     cum_up, cum_down))
 
     record(0, 0, 0)
-    for t in range(config.rounds):
-        w = ParamVector(server.w, obj.layer_partition, copy=True)
-        uploads = []
-        new_clients = []
-        for i in range(M):
-            g = stochastic_gradient(
-                obj, i, w, config.noise,
-                derive_stream(seed, i, t, StreamPurpose.GRADIENT_NOISE))
-            up, st = client_round(
-                alg, clients[i], g,
-                derive_stream(seed, i, t, StreamPurpose.COMPRESSOR))
-            uploads.append(up)
-            new_clients.append(st)
-        w_prev = server.w
-        server = server_round(alg, server, uploads,
-                              layer_partition=obj.layer_partition)
-        clients = new_clients
-        assert_mirror(server, clients)
+    # overflow to inf or NaN is how a seed diverges; it is detected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.rounds):
+            # client_round holds the only reference to the gradient rows
+            upload = client_round(
+                alg, clients,
+                stochastic_gradient(obj, server.w, config.noise,
+                                    stream_keys(seed, ids, t, StreamPurpose.GRADIENT_NOISE)),
+                stream_keys(seed, ids, t, StreamPurpose.COMPRESSOR), obj.layer_partition)
+            w_prev = server.w
+            server_round(alg, server, upload, obj.layer_partition)
+            assert_mirror(server, clients, seed)
 
-        up_bits = [message_bits(config.cost_model, up.msg, up.n_scalars)
-                   for up in uploads]
-        down_per_client = downlink_bits(config.cost_model, w_prev, server.w)
-        ledger.record_round(up_bits, down_per_client * M)
-
-        if float(np.linalg.norm(server.w)) > config.divergence_threshold:
-            diverged_at = t + 1
-            record(t + 1, sum(up_bits), down_per_client * M)
-            break
-        record(t + 1, sum(up_bits), down_per_client * M)
+            up_bits = message_bits(config.cost_model, upload.msg, upload.n_scalars)
+            down_per_client = downlink_bits(config.cost_model, w_prev, server.w)
+            ledger.record_round(up_bits, down_per_client * M)
+            record(t + 1, ledger.uplink_total[-1], down_per_client * M)
+            if not (np.isfinite(server.w).all() and
+                    float(np.linalg.norm(server.w)) <= config.divergence_threshold):
+                diverged_at = t + 1
+                break
 
     return SeedResult(seed, rows, diverged_at, server.w.copy())
 
@@ -354,7 +349,7 @@ def locate_optimum(obj: FederatedObjective, tol: float = 1e-12):
     from scipy.optimize import minimize
 
     def fun(w):
-        return obj.loss_grad(ParamVector(w, obj.layer_partition, copy=True))
+        return obj.loss_grad(w)
 
     res = minimize(fun, np.zeros(obj.d), jac=True, method="L-BFGS-B",
                    options={"maxiter": 5000, "ftol": tol, "gtol": 1e-10})

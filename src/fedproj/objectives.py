@@ -20,6 +20,11 @@ Three suites:
   backprop; non-convex, ``mu = 0``, bounded below by 0, ``L`` is an empirical
   Lipschitz estimate (flagged non-certified).
 
+``FederatedObjective.client_grads`` returns every client's gradient as the
+rows of an ``(M, d)`` array (``w - C`` in one operation for quadratic, one
+``X_i @ w`` or forward pass per client otherwise), and
+:func:`stochastic_gradient` adds the clients' noise rows to it.
+
 ``FederatedObjective.loss_grad`` returns the loss and the mean gradient from
 one forward pass per client.  It folds them exactly as ``loss`` (``sum`` of
 the client losses, then ``/ M``) and ``grad`` (the left fold
@@ -37,7 +42,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .vectors import ParamVector, RngStream, StreamPurpose, derive_stream
+from . import backend
+from .vectors import ParamVector, StreamPurpose, derive_stream
 
 __all__ = [
     "ObjectiveKind",
@@ -55,6 +61,10 @@ __all__ = [
 ]
 
 _DATASET_MAGIC = b"FDS1"
+
+# Byte budget of the noise rows one kernel call draws: a wide model draws a
+# few rows at a time, so the kernel's temporaries never span all M clients.
+NOISE_BLOCK_BYTES = 1 << 18
 
 
 class ObjectiveKind(str, Enum):
@@ -85,17 +95,27 @@ class NoiseModel:
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
 
-    def draw(self, dim: int, rng: RngStream) -> np.ndarray:
+    def draw(self, dim: int, keys) -> np.ndarray:
+        """``(R, dim)`` noise rows, row ``r`` from the stream keyed ``keys[r]``.
+
+        The ball's direction is the row's ``dim`` normals; its radius comes
+        from the next uniform of the same stream.
+        """
+        keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
         if self.sigma == 0.0:
-            return np.zeros(dim)
+            return np.zeros((keys.shape[0], dim))
+        rows = backend.stream_normals(keys, 0, dim)
         if self.distribution is NoiseKind.GAUSSIAN_ISO:
-            return rng.normals(dim) * (self.sigma / np.sqrt(dim))
-        direction = rng.normals(dim)
-        nrm = np.linalg.norm(direction)
-        if nrm == 0.0:
-            return np.zeros(dim)
-        radius = self.sigma * rng.uniforms(1)[0] ** (1.0 / dim)
-        return direction * (radius / nrm)
+            rows *= self.sigma / np.sqrt(dim)
+            return rows
+        u = backend.stream_uniforms(keys, 2 * ((dim + 1) // 2), 1)[:, 0]
+        for r, direction in enumerate(rows):
+            nrm = np.linalg.norm(direction)
+            if nrm == 0.0:
+                direction[:] = 0.0
+            else:
+                direction *= self.sigma * u[r] ** (1.0 / dim) / nrm
+        return rows
 
 
 class FederatedObjective(ABC):
@@ -125,6 +145,13 @@ class FederatedObjective(ABC):
         """Loss and gradient of one client; subclasses share the forward pass."""
         return self._client_loss(client_id, w), self._client_grad(client_id, w)
 
+    def client_grads(self, w: np.ndarray) -> np.ndarray:
+        """Every client's gradient at ``w``, as the rows of an ``(M, d)`` array."""
+        out = np.empty((self.M, self.d))
+        for i in range(self.M):
+            out[i] = self._client_grad(i, w)
+        return out
+
     def client_loss(self, client_id: int, w: ParamVector) -> float:
         self._check_client(client_id)
         return self._client_loss(client_id, w.values)
@@ -141,12 +168,13 @@ class FederatedObjective(ABC):
         acc = self._grad_mean(w.values)
         return ParamVector(acc, self.layer_partition, copy=False)
 
-    def loss_grad(self, w: ParamVector) -> Tuple[float, np.ndarray]:
-        """``(loss(w), grad(w).values)``, bit-equal, one forward pass per client."""
+    def loss_grad(self, w: np.ndarray) -> Tuple[float, np.ndarray]:
+        """``(loss(w), grad(w).values)`` at the array ``w``, bit-equal, one
+        forward pass per client."""
         losses = []
         acc = None
         for i in range(self.M):
-            loss, g = self._client_loss_grad(i, w.values)
+            loss, g = self._client_loss_grad(i, w)
             losses.append(loss)
             acc = g if acc is None else acc + g
         return sum(losses) / self.M, acc / self.M
@@ -196,6 +224,9 @@ class QuadraticObjective(FederatedObjective):
 
     def _client_grad(self, i, w):
         return w - self.centers[i]
+
+    def client_grads(self, w):
+        return w - self.centers
 
 
 class LogisticObjective(FederatedObjective):
@@ -410,14 +441,19 @@ def make_tiny_mlp(M: int, d_in: int, hidden: int, seed: int,
     return TinyMlpObjective(features, targets, d_in, hidden)
 
 
-def stochastic_gradient(obj: FederatedObjective, client_id: int, w: ParamVector,
-                        noise: NoiseModel, rng: RngStream) -> ParamVector:
-    """One noisy gradient draw ``grad f_i(w) + xi`` with ``E[xi] = 0``."""
-    obj._check_client(client_id)
-    g = obj._client_grad(client_id, w.values)
+def stochastic_gradient(obj: FederatedObjective, w: np.ndarray, noise: NoiseModel,
+                        keys) -> np.ndarray:
+    """Every client's noisy gradient ``grad f_i(w) + xi_i`` with ``E[xi_i] = 0``,
+    as ``(M, d)`` rows; ``keys`` are the clients' gradient-noise stream keys."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.shape != (obj.M,):
+        raise ValueError(f"expected {obj.M} stream keys, got shape {keys.shape}")
+    g = obj.client_grads(w)
     if noise.sigma > 0.0:
-        g = g + noise.draw(obj.d, rng)
-    return ParamVector(g, obj.layer_partition, copy=False)
+        block = max(1, NOISE_BLOCK_BYTES // (8 * obj.d))
+        for lo in range(0, obj.M, block):
+            g[lo:lo + block] += noise.draw(obj.d, keys[lo:lo + block])
+    return g
 
 
 @dataclass(frozen=True)

@@ -5,24 +5,27 @@ carried by :class:`ParamVector`: a flat float64 vector with an optional layer
 partition.  Randomness comes from :class:`RngStream`, a counter-based stream
 keyed by ``(master_seed, client_id, round, purpose)`` so that re-deriving the
 same tuple replays the same draws and client evaluation order never matters.
+:func:`stream_keys` derives the keys of many such tuples at once, for the
+kernels that draw one row per stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from . import backend
-from ._purekern import MASK64, mix64
+from ._purekern import MASK64, mix64_array
 
 __all__ = [
     "ParamVector",
     "RngStream",
     "StreamPurpose",
     "derive_stream",
+    "stream_keys",
     "dot",
     "axpy",
     "DimensionMismatch",
@@ -148,23 +151,21 @@ class RngStream:
     def __post_init__(self):
         if self.client_id < 0 or self.round_index < 0:
             raise ValueError("client_id and round_index must be non-negative")
-        h = mix64(self.master_seed & MASK64)
-        h = mix64(h ^ ((self.client_id + _CLIENT_SALT) & MASK64))
-        h = mix64(h ^ ((self.round_index + _ROUND_SALT) & MASK64))
-        self.key = mix64(h ^ ((int(self.purpose) + _PURPOSE_SALT) & MASK64))
+        self.key = int(stream_keys(self.master_seed, self.client_id, self.round_index,
+                                   self.purpose)[0])
 
     def words(self, n: int) -> np.ndarray:
-        out = backend.stream_words(self.key, self.offset, n)
+        out = backend.stream_words(self.key, self.offset, n)[0]
         self.offset += n
         return out
 
     def uniforms(self, n: int) -> np.ndarray:
-        out = backend.stream_uniforms(self.key, self.offset, n)
+        out = backend.stream_uniforms(self.key, self.offset, n)[0]
         self.offset += n
         return out
 
     def normals(self, n: int) -> np.ndarray:
-        out = backend.stream_normals(self.key, self.offset, n)
+        out = backend.stream_normals(self.key, self.offset, n)[0]
         self.offset += 2 * ((n + 1) // 2)
         return out
 
@@ -172,9 +173,23 @@ class RngStream:
         """Uniform k-subset of ``range(pop)``, sorted ascending."""
         if not 1 <= k <= pop:
             raise ValueError(f"subset size {k} out of range for population {pop}")
-        out = backend.stream_subset(self.key, self.offset, pop, k)
+        out = backend.stream_subset(self.key, self.offset, pop, k)[0]
         self.offset += k
         return out
+
+
+def stream_keys(master_seed: int, client_ids, round_index,
+                purpose: StreamPurpose) -> np.ndarray:
+    """Stream keys of ``(master_seed, client_id, round_index, purpose)`` as uint64.
+
+    ``client_ids`` and ``round_index`` are non-negative ints or arrays that
+    broadcast; entry ``j`` equals ``derive_stream(...).key`` of the j-th tuple.
+    """
+    seed = mix64_array(np.array([master_seed & MASK64], dtype=np.uint64))
+    z = np.atleast_1d(np.asarray(client_ids, dtype=np.uint64)) + np.uint64(_CLIENT_SALT)
+    z = mix64_array(z ^ seed)
+    z = mix64_array(z ^ (np.asarray(round_index, dtype=np.uint64) + np.uint64(_ROUND_SALT)))
+    return mix64_array(z ^ np.uint64((int(purpose) + _PURPOSE_SALT) & MASK64))
 
 
 def derive_stream(master_seed: int, client_id: int, round_index: int,

@@ -19,58 +19,62 @@ from fedproj.compressors import (
     compress,
     decode,
 )
-from fedproj.vectors import ParamVector, StreamPurpose, derive_stream
+from fedproj.vectors import ParamVector, StreamPurpose, stream_keys
 
 
 def stream(r=0):
-    return derive_stream(0, 0, r, StreamPurpose.COMPRESSOR)
+    return stream_keys(0, 0, r, StreamPurpose.COMPRESSOR)
+
+
+def rows(g):
+    return np.atleast_2d(np.asarray(g, dtype=np.float64))
 
 
 class TestMessageBits:
     def test_sparse_ceil_log2(self):
         model = CostModel(index_bits_mode=IndexBitsMode.CEIL_LOG2_DIM)
-        g = ParamVector(np.arange(1.0, 1001.0))
-        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.01), g)
+        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.01),
+                       rows(np.arange(1.0, 1001.0)))
         assert index_bits(model, 1000) == 10
-        assert message_bits(model, msg) == 10 * 42
+        assert message_bits(model, msg).tolist() == [10 * 42]
 
     def test_dense(self):
-        g = ParamVector(np.zeros(100))
-        msg = compress(CompressorSpec(CompressorKind.IDENTITY), g)
-        assert message_bits(DEFAULT_COST_MODEL, msg) == 3200
+        msg = compress(CompressorSpec(CompressorKind.IDENTITY), np.zeros((3, 100)))
+        assert message_bits(DEFAULT_COST_MODEL, msg).tolist() == [3200] * 3
 
     def test_scalar_surcharge(self):
-        g = ParamVector(np.arange(1.0, 21.0))
-        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.1), g)
+        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.1),
+                       rows(np.arange(1.0, 21.0)))
         base = message_bits(DEFAULT_COST_MODEL, msg)
-        assert message_bits(DEFAULT_COST_MODEL, msg, extra_scalars=1) == base + 32
+        assert (message_bits(DEFAULT_COST_MODEL, msg, extra_scalars=1) == base + 32).all()
 
     def test_quantized_formula(self):
-        g = ParamVector(np.array([3.0, -4.0, 1.0]))
-        msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=3), g, stream())
+        msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=3),
+                       rows([3.0, -4.0, 1.0]), stream())
         # norm 32 + 3 sign bits + 3 levels x ceil(log2(4)) = 2 bits
-        assert message_bits(DEFAULT_COST_MODEL, msg) == 32 + 3 + 6
+        assert message_bits(DEFAULT_COST_MODEL, msg).tolist() == [32 + 3 + 6]
 
     def test_header_bits(self):
         model = CostModel(header_bits=16)
-        g = ParamVector(np.zeros(4))
-        msg = compress(CompressorSpec(CompressorKind.IDENTITY), g)
-        assert message_bits(model, msg) == 4 * 32 + 16
+        msg = compress(CompressorSpec(CompressorKind.IDENTITY), np.zeros((1, 4)))
+        assert message_bits(model, msg).tolist() == [4 * 32 + 16]
 
     def test_compressor_bit_size_cross_check(self):
-        """bit_size stored on messages equals the accounting formula (default model)."""
+        """message_bits under the default model, against the formula of each kind."""
         rng = np.random.default_rng(0)
-        g = ParamVector(rng.standard_normal(64), [(0, 16), (16, 64)])
-        specs = [
-            CompressorSpec(CompressorKind.IDENTITY),
-            CompressorSpec(CompressorKind.TOPK, k_fraction=0.25),
-            CompressorSpec(CompressorKind.TOPK, k_fraction=0.25, layerwise=True),
-            CompressorSpec(CompressorKind.RANDK, k_fraction=0.1),
-            CompressorSpec(CompressorKind.QSGD, s_levels=4),
+        g = rows(rng.standard_normal(64))
+        part = ((0, 16), (16, 64))
+        cases = [
+            (CompressorSpec(CompressorKind.IDENTITY), 64 * 32),
+            (CompressorSpec(CompressorKind.TOPK, k_fraction=0.25), 16 * 64),
+            (CompressorSpec(CompressorKind.TOPK, k_fraction=0.25, layerwise=True),
+             (4 + 12) * 64),
+            (CompressorSpec(CompressorKind.RANDK, k_fraction=0.1), 6 * 64),
+            (CompressorSpec(CompressorKind.QSGD, s_levels=4), 32 + 64 + 64 * 3),
         ]
-        for spec in specs:
-            msg = compress(spec, g, stream())
-            assert msg.bit_size == message_bits(DEFAULT_COST_MODEL, msg)
+        for spec, bits in cases:
+            msg = compress(spec, g, stream(), part)
+            assert message_bits(DEFAULT_COST_MODEL, msg).tolist() == [bits], spec
 
 
 class TestDownlink:
@@ -96,8 +100,8 @@ class TestDownlink:
         d, M, kf = 40, 5, 0.1
         spec = CompressorSpec(CompressorKind.TOPK, k_fraction=kf)
         w = ParamVector(rng.standard_normal(d))
-        msgs = [compress(spec, ParamVector(rng.standard_normal(d))) for _ in range(M)]
-        update = np.mean([decode(m).values for m in msgs], axis=0)
+        msg = compress(spec, rng.standard_normal((M, d)))
+        update = np.mean(decode(msg), axis=0)
         w_next = w.values - 0.5 * update
         assert changed_coordinates(w, w_next) <= min(d, M * 4)
 
@@ -131,49 +135,59 @@ class TestLedger:
 class TestWireFormat:
     def test_lengths_match_ceil_bits(self):
         rng = np.random.default_rng(2)
-        g = ParamVector(rng.standard_normal(13))
+        g = rng.standard_normal((2, 13))
+        g[1] = 0.0
         for spec in [CompressorSpec(CompressorKind.IDENTITY),
                      CompressorSpec(CompressorKind.TOPK, k_fraction=0.3),
                      CompressorSpec(CompressorKind.QSGD, s_levels=1),
                      CompressorSpec(CompressorKind.QSGD, s_levels=5)]:
-            msg = compress(spec, g, stream())
-            raw = serialize_message(msg)
-            assert len(raw) == -(-msg.bit_size // 8), spec
+            msg = compress(spec, g, stream_keys(0, np.arange(2), 0, StreamPurpose.COMPRESSOR))
+            bits = message_bits(DEFAULT_COST_MODEL, msg)
+            for row in range(2):
+                raw = serialize_message(msg, row)
+                assert len(raw) == -(-int(bits[row]) // 8), spec
 
     def test_sparse_roundtrip_float32(self):
-        g = ParamVector(np.array([0.0, 7.5, 0.0]))
-        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.34), g)
+        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.34),
+                       rows([0.0, 7.5, 0.0]))
         back = deserialize_message(serialize_message(msg), "sparse", 3, n_values=1)
-        assert decode(back).values.tolist() == [0.0, 7.5, 0.0]
+        assert decode(back).tolist() == [[0.0, 7.5, 0.0]]
 
     def test_quantized_roundtrip(self):
-        g = ParamVector(np.array([3.0, -4.0, 0.25, 1.0]))
-        msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=3), g, stream())
+        msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=3),
+                       rows([3.0, -4.0, 0.25, 1.0]), stream())
         back = deserialize_message(serialize_message(msg), "quantized", 4, s_levels=3)
         assert np.array_equal(back.payload.levels, msg.payload.levels)
         assert np.array_equal(back.payload.signs, msg.payload.signs)
-        assert back.payload.norm == pytest.approx(msg.payload.norm, rel=1e-7)
+        assert back.payload.norm[0] == pytest.approx(msg.payload.norm[0], rel=1e-7)
+
+    def test_empty_quantized_roundtrip(self):
+        msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=3), np.zeros((1, 4)),
+                       stream())
+        assert serialize_message(msg) == b""
+        back = deserialize_message(b"", "quantized", 4, s_levels=3)
+        assert message_bits(DEFAULT_COST_MODEL, back).tolist() == [0]
+        assert decode(back).tolist() == [[0.0] * 4]
 
     def test_dense_roundtrip(self):
-        g = ParamVector(np.array([1.0, -2.0, 3.5]))
+        g = rows([1.0, -2.0, 3.5])
         msg = compress(CompressorSpec(CompressorKind.IDENTITY), g)
         back = deserialize_message(serialize_message(msg), "dense", 3)
-        assert np.allclose(back.payload.values, g.values, rtol=1e-7)
+        assert np.allclose(back.payload.values, g, rtol=1e-7)
 
     def test_golden_bytes(self):
         """Frozen wire bytes for fixed messages."""
-        g = ParamVector(np.array([0.0, 7.5, 0.0]))
-        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.34), g)
+        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.34),
+                       rows([0.0, 7.5, 0.0]))
         assert serialize_message(msg) == bytes.fromhex("0000f040" "01000000")
 
-        dense = compress(CompressorSpec(CompressorKind.IDENTITY),
-                         ParamVector(np.array([1.0, -2.0])))
+        dense = compress(CompressorSpec(CompressorKind.IDENTITY), rows([1.0, -2.0]))
         assert serialize_message(dense) == bytes.fromhex("0000803f" "000000c0")
 
         # quantized: norm 5.0, signs (0,0), levels (1,1), s=1
         from fedproj.compressors import CompressedMessage, QuantizedPayload
-        payload = QuantizedPayload(5.0, np.array([0, 0], np.uint8),
-                                   np.array([1, 1], np.int64), 1)
-        qm = CompressedMessage(payload, 2, 32 + 2 + 2)
+        payload = QuantizedPayload(np.array([5.0]), np.array([[0, 0]], np.uint8),
+                                   np.array([[1, 1]], np.int64), 1)
+        qm = CompressedMessage(payload, 2)
         # 0x40a00000 big-bit-stream then bits 0,0,1,1 -> 0b0011 << 4 = 0x30
         assert serialize_message(qm) == bytes.fromhex("0000a040" "30")

@@ -1,26 +1,23 @@
 import numpy as np
 import pytest
 
+from fedproj import backend
 from fedproj.algorithms import (
+    PROJECTION_EPS,
     AlgorithmConfig,
     AlgorithmKind,
-    ClientState,
     ClientUpload,
+    History,
     MirrorDesyncError,
     assert_mirror,
     client_round,
-    diagnostic_tilde_w,
-    history_average,
-    init_client_state,
-    init_server_state,
-    load_snapshot,
-    project_decompose,
-    save_snapshot,
+    init_clients,
+    init_server,
     server_round,
 )
-from fedproj.compressors import CompressorKind, CompressorSpec
+from fedproj.compressors import CompressorKind, CompressorSpec, compress, decode
 from fedproj.objectives import NoiseModel, make_quadratic, stochastic_gradient
-from fedproj.vectors import ParamVector, StreamPurpose, derive_stream
+from fedproj.vectors import ParamVector, StreamPurpose, stream_keys
 
 IDENTITY = CompressorSpec(CompressorKind.IDENTITY)
 TOPK_HALF = CompressorSpec(CompressorKind.TOPK, k_fraction=0.5)
@@ -37,130 +34,140 @@ def quadratic_pair(d=2):
     return make_quadratic(2, d, [ParamVector(np.zeros(d)), ParamVector(c2)])
 
 
+def keys(seed, obj, t, purpose):
+    return stream_keys(seed, np.arange(obj.M), t, purpose)
+
+
+def step(cfg, obj, clients, server, t, seed=0, noise=NoiseModel(0.0)):
+    """One round of the engine, as the harness runs it; returns the gradient rows."""
+    g = stochastic_gradient(obj, server.w, noise,
+                            keys(seed, obj, t, StreamPurpose.GRADIENT_NOISE))
+    up = client_round(cfg, clients, g, keys(seed, obj, t, StreamPurpose.COMPRESSOR),
+                      obj.layer_partition)
+    server_round(cfg, server, up, obj.layer_partition)
+    assert_mirror(server, clients, seed)
+    return g
+
+
 def drive(cfg, obj, rounds, seed=0, sigma=0.0, w0=None):
-    """Run the client/server loop directly; returns the iterate trajectory."""
-    noise = NoiseModel(sigma)
-    w0 = ParamVector(np.zeros(obj.d)) if w0 is None else w0
-    clients = [init_client_state(cfg, obj.d) for _ in range(obj.M)]
-    server = init_server_state(cfg, w0, obj.M)
+    """Run the round engine directly; returns the iterate trajectory."""
+    clients = init_clients(cfg, obj.M, obj.d)
+    server = init_server(cfg, np.zeros(obj.d) if w0 is None else w0, obj.M)
     traj = [server.w.copy()]
     for t in range(rounds):
-        w = ParamVector(server.w, obj.layer_partition, copy=True)
-        uploads = []
-        new_clients = []
-        for i in range(obj.M):
-            g = stochastic_gradient(obj, i, w, noise,
-                                    derive_stream(seed, i, t, StreamPurpose.GRADIENT_NOISE))
-            up, st = client_round(cfg, clients[i], g,
-                                  derive_stream(seed, i, t, StreamPurpose.COMPRESSOR))
-            uploads.append(up)
-            new_clients.append(st)
-        server = server_round(cfg, server, uploads)
-        clients = new_clients
-        assert_mirror(server, clients)
+        step(cfg, obj, clients, server, t, seed, NoiseModel(sigma))
         traj.append(server.w.copy())
     return np.array(traj), server, clients
 
 
+def newest(history):
+    return history.buf[history.newest]
+
+
+def decompose(g, dbar):
+    return backend.project_decompose(np.atleast_2d(g), np.atleast_2d(dbar), PROJECTION_EPS)
+
+
 class TestProjectDecompose:
     def test_collinear(self):
-        alpha, perp = project_decompose(ParamVector([2.0, 0.0]), ParamVector([1.0, 0.0]))
-        assert alpha == 2.0
-        assert np.all(perp.values == 0.0)
+        alpha, perp = decompose([2.0, 0.0], [1.0, 0.0])
+        assert alpha[0] == 2.0
+        assert np.all(perp == 0.0)
 
     def test_axis_split(self):
-        alpha, perp = project_decompose(ParamVector([1.0, 1.0]), ParamVector([1.0, 0.0]))
-        assert alpha == 1.0
-        assert perp.values.tolist() == [0.0, 1.0]
+        alpha, perp = decompose([1.0, 1.0], [1.0, 0.0])
+        assert alpha[0] == 1.0
+        assert perp[0].tolist() == [0.0, 1.0]
 
     def test_degenerate_zero_direction(self):
-        g = ParamVector([3.0, -1.0])
-        alpha, perp = project_decompose(g, ParamVector.zeros(2))
-        assert alpha == 0.0
-        assert np.array_equal(perp.values, g.values)
+        g = np.array([3.0, -1.0])
+        alpha, perp = decompose(g, np.zeros(2))
+        assert alpha[0] == 0.0
+        assert np.array_equal(perp[0], g)
 
     def test_reconstruction_and_orthogonality_random(self):
         rng = np.random.default_rng(0)
-        for _ in range(2000):
-            g = rng.standard_normal(6)
-            scale = rng.choice([0.0, 1e-12, 1e-3, 1.0, 1e4])
-            dbar = rng.standard_normal(6) * scale
-            alpha, perp = project_decompose(ParamVector(g), ParamVector(dbar))
-            recon = alpha * dbar + perp.values
-            assert np.linalg.norm(recon - g) <= 1e-12 * (1 + np.linalg.norm(g))
-            assert abs(dbar @ perp.values) <= 1e-9 * np.linalg.norm(dbar) * np.linalg.norm(g)
+        g = rng.standard_normal((2000, 6))
+        scale = rng.choice([0.0, 1e-12, 1e-3, 1.0, 1e4], 2000)
+        dbar = rng.standard_normal((2000, 6)) * scale[:, None]
+        alpha, perp = decompose(g, dbar)
+        for r in range(2000):
+            recon = alpha[r] * dbar[r] + perp[r]
+            assert np.linalg.norm(recon - g[r]) <= 1e-12 * (1 + np.linalg.norm(g[r]))
+            assert abs(dbar[r] @ perp[r]) <= \
+                1e-9 * np.linalg.norm(dbar[r]) * np.linalg.norm(g[r])
 
     def test_subthreshold_direction_takes_degenerate_branch(self):
         # ||dbar||^2 below the threshold behaves exactly like dbar = 0
-        g = ParamVector([1.0, -2.0])
-        alpha, perp = project_decompose(g, ParamVector([1e-20, 1e-20]))
-        assert alpha == 0.0
-        assert np.array_equal(perp.values, g.values)
+        g = np.array([1.0, -2.0])
+        alpha, perp = decompose(g, [1e-20, 1e-20])
+        assert alpha[0] == 0.0
+        assert np.array_equal(perp[0], g)
 
 
 class TestHistoryAverage:
     def test_round0_zero(self):
-        state = init_client_state(cfg_for(AlgorithmKind.PROJFL), 3)
-        assert np.all(history_average(state).values == 0.0)
+        assert np.all(History(3, 1, 3).mean() == 0.0)
 
     def test_partial_window_mean(self):
-        state = ClientState(1, history=(np.zeros(2), np.array([2.0, 0.0])))
-        assert history_average(state).values.tolist() == [1.0, 0.0]
+        history = History(3, 1, 2)
+        history.push()[0] = [2.0, 0.0]
+        assert history.mean()[0].tolist() == [1.0, 0.0]
 
     def test_window_truncation(self):
-        vecs = [np.full(2, float(i)) for i in range(6)]
-        state = ClientState(5, history=tuple(vecs[4:6]))
-        assert history_average(state).values.tolist() == [4.5, 4.5]
+        history = History(2, 1, 2)
+        for i in range(1, 6):
+            history.push()[0] = float(i)
+        assert history.mean()[0].tolist() == [4.5, 4.5]
 
     def test_buffer_length_tracks_rounds(self):
         cfg = cfg_for(AlgorithmKind.PROJFL, K=3)
         obj = quadratic_pair()
         _, _, clients = drive(cfg, obj, 1)
-        assert len(clients[0].history) == 2
+        assert clients.history.count == 2
         _, _, clients = drive(cfg, obj, 5)
-        assert len(clients[0].history) == 3  # capped at K
+        assert clients.history.count == 3  # capped at K
 
-    def test_requires_history(self):
-        with pytest.raises(ValueError):
-            history_average(ClientState(0))
+    def test_rows_are_independent(self):
+        history = History(3, 2, 2)
+        history.push()[:] = [[3.0, 0.0], [0.0, 6.0]]
+        history.push()[:] = [[0.0, 0.0], [0.0, 3.0]]
+        assert history.mean().tolist() == [[1.0, 0.0], [0.0, 3.0]]
 
 
 class TestClientRound:
     def test_projfl_round0_sends_full_gradient(self):
         cfg = cfg_for(AlgorithmKind.PROJFL)
-        state = init_client_state(cfg, 3)
-        g = ParamVector([1.0, -2.0, 0.5])
-        up, new_state = client_round(cfg, state, g, None)
-        assert up.dbar_coeff == 0.0
-        assert np.array_equal(up.msg.payload.values, g.values)
-        assert np.array_equal(new_state.history[-1], g.values)
+        clients = init_clients(cfg, 1, 3)
+        g = np.array([[1.0, -2.0, 0.5]])
+        up = client_round(cfg, clients, g, None)
+        assert up.coeff.tolist() == [0.0]
+        assert np.array_equal(up.msg.payload.values, g)
+        assert np.array_equal(newest(clients.history), g)
 
     def test_projfl_ef_identity_keeps_zero_error(self):
         cfg = cfg_for(AlgorithmKind.PROJFL_EF)
         obj = quadratic_pair()
         _, _, clients = drive(cfg, obj, 10)
-        for cs in clients:
-            assert np.allclose(cs.error, 0.0, atol=1e-15)
+        assert np.allclose(clients.error, 0.0, atol=1e-15)
 
     def test_projfl_ef_direction_carries_eta(self):
         cfg = cfg_for(AlgorithmKind.PROJFL_EF, eta=0.25)
-        state = init_client_state(cfg, 2)
-        g = ParamVector([4.0, 0.0])
-        up, new_state = client_round(cfg, state, g, None)
-        assert np.array_equal(new_state.history[-1], [1.0, 0.0])  # eta*g at round 0
-        assert up.dbar_coeff == 0.0
+        clients = init_clients(cfg, 1, 2)
+        up = client_round(cfg, clients, np.array([[4.0, 0.0]]), None)
+        assert newest(clients.history)[0].tolist() == [1.0, 0.0]  # eta*g at round 0
+        assert up.coeff.tolist() == [0.0]
 
     def test_ef_error_update(self):
-        from fedproj.compressors import decode
         cfg = cfg_for(AlgorithmKind.EF, compressor=TOPK_HALF, zeta=0.75)
-        state = init_client_state(cfg, 4)
-        g = ParamVector([3.0, -1.0, 0.5, -4.0])
-        up, st1 = client_round(cfg, state, g, None)
+        clients = init_clients(cfg, 1, 4)
+        g = np.array([[3.0, -1.0, 0.5, -4.0]])
+        client_round(cfg, clients, g, None)
         # carried = g (error starts 0); top-2 keeps coords 0 and 3
-        assert np.array_equal(st1.error, [0.0, -1.0, 0.5, 0.0])
-        up2, st2 = client_round(cfg, st1, g, None)
-        carried = g.values + 0.75 * st1.error
-        assert np.allclose(st2.error, carried - decode(up2.msg).values)
+        assert clients.error[0].tolist() == [0.0, -1.0, 0.5, 0.0]
+        carried = g + 0.75 * clients.error
+        up2 = client_round(cfg, clients, g, None)
+        assert np.allclose(clients.error, carried - decode(up2.msg))
 
     def test_ef21_gamma_one_equals_ef21_bitwise(self):
         obj = quadratic_pair()
@@ -181,44 +188,62 @@ class TestClientRound:
         assert np.array_equal(ta, tb)
 
     def test_nonfinite_gradient_rejected(self):
-        cfg = cfg_for(AlgorithmKind.FEDAVG)
         with pytest.raises(ValueError):
             ParamVector([np.nan, 0.0])
+
+    def test_rows_match_single_client_runs(self):
+        """A client's row evolves as it would in an engine of its own."""
+        cfg = cfg_for(AlgorithmKind.PROJFL_EF, eta=0.1, compressor=TOPK_HALF, K=2)
+        rng = np.random.default_rng(4)
+        grads = rng.standard_normal((6, 3, 8))
+        batched = init_clients(cfg, 3, 8)
+        alone = [init_clients(cfg, 1, 8) for _ in range(3)]
+        for g in grads:
+            up = client_round(cfg, batched, g, None)
+            for i in range(3):
+                one = client_round(cfg, alone[i], g[i:i + 1], None)
+                assert one.coeff[0] == up.coeff[i]
+                assert np.array_equal(alone[i].error[0], batched.error[i])
+                assert np.array_equal(newest(alone[i].history)[0], newest(batched.history)[i])
 
 
 class TestServerRound:
     def test_projfl_hand_computed_first_step(self):
         # quadratic pair, w0 = 0, eta = 0.5: grad f(w0) = (-1, 0), w1 = (0.5, 0)
         cfg = cfg_for(AlgorithmKind.PROJFL, eta=0.5)
-        obj = quadratic_pair()
-        traj, _, _ = drive(cfg, obj, 1)
+        traj, _, _ = drive(cfg, quadratic_pair(), 1)
         assert np.allclose(traj[1], [0.5, 0.0], atol=1e-15)
 
     def test_all_zero_uploads_leave_w(self):
         cfg = cfg_for(AlgorithmKind.FEDAVG)
-        obj = quadratic_pair()
-        server = init_server_state(cfg, ParamVector([1.0, 1.0]), 2)
-        from fedproj.compressors import compress
-        zero_msg = compress(IDENTITY, ParamVector.zeros(2))
-        uploads = [ClientUpload(zero_msg), ClientUpload(zero_msg)]
-        new_server = server_round(cfg, server, uploads)
-        assert np.array_equal(new_server.w, server.w)
+        server = init_server(cfg, np.array([1.0, 1.0]), 2)
+        server_round(cfg, server, ClientUpload(compress(IDENTITY, np.zeros((2, 2)))))
+        assert server.w.tolist() == [1.0, 1.0]
 
     def test_upload_count_checked(self):
         cfg = cfg_for(AlgorithmKind.FEDAVG)
-        server = init_server_state(cfg, ParamVector.zeros(2), 2)
-        from fedproj.compressors import compress
+        server = init_server(cfg, np.zeros(2), 2)
         with pytest.raises(ValueError):
-            server_round(cfg, server, [ClientUpload(compress(IDENTITY, ParamVector.zeros(2)))])
+            server_round(cfg, server, ClientUpload(compress(IDENTITY, np.zeros((1, 2)))))
 
     def test_mirror_desync_detected(self):
         cfg = cfg_for(AlgorithmKind.PROJFL)
-        obj = quadratic_pair()
-        _, server, clients = drive(cfg, obj, 3)
-        bad = ClientState(clients[0].round_index,
-                          history=tuple(h + 1.0 for h in clients[0].history))
+        _, server, clients = drive(cfg, quadratic_pair(), 3)
+        clients.history.buf += 1.0
         with pytest.raises(MirrorDesyncError):
-            assert_mirror(server, [bad, clients[1]])
+            assert_mirror(server, clients)
+
+    @pytest.mark.parametrize("kind, array", [(AlgorithmKind.PROJFL_EF, "history"),
+                                             (AlgorithmKind.EF21, "direction")])
+    def test_mirror_desync_names_seed_round_client_and_array(self, kind, array):
+        obj = make_quadratic(4, 3, [ParamVector(np.full(3, float(i))) for i in range(4)])
+        cfg = cfg_for(kind, eta=0.1, compressor=TOPK_HALF)
+        _, server, clients = drive(cfg, obj, 3, seed=5, sigma=0.2)
+        state = clients.history.buf[0] if array == "history" else clients.direction
+        state[2, 1] = np.nextafter(state[2, 1], np.inf)   # one entry of client 2, one ulp
+        with pytest.raises(MirrorDesyncError,
+                           match=f"seed 5, round 3: .* client 2 differs .* {array}$"):
+            assert_mirror(server, clients, 5)
 
 
 class TestReductionLadder:
@@ -248,50 +273,35 @@ class TestReductionLadder:
             assert np.linalg.norm(traj[t] - w_star) == pytest.approx(0.5 ** t * d0, abs=1e-10)
 
 
+def tilde_w(server, clients):
+    """The error-shifted iterate ``w - mean_i(e_i)``."""
+    return server.w - np.mean(clients.error, axis=0)
+
+
 class TestTildeW:
     def test_identity_compressor_tilde_equals_w(self):
         cfg = cfg_for(AlgorithmKind.PROJFL_EF)
-        obj = quadratic_pair()
-        _, server, clients = drive(cfg, obj, 5)
-        assert np.allclose(diagnostic_tilde_w(server, clients).values, server.w)
+        _, server, clients = drive(cfg, quadratic_pair(), 5)
+        assert np.allclose(tilde_w(server, clients), server.w)
 
     def test_round0_tilde_is_w0(self):
         cfg = cfg_for(AlgorithmKind.PROJFL_EF, compressor=TOPK_HALF)
-        obj = quadratic_pair()
-        clients = [init_client_state(cfg, 2) for _ in range(2)]
-        server = init_server_state(cfg, ParamVector([1.0, -1.0]), 2)
-        assert np.array_equal(diagnostic_tilde_w(server, clients).values, server.w)
+        clients = init_clients(cfg, 2, 2)
+        server = init_server(cfg, np.array([1.0, -1.0]), 2)
+        assert np.array_equal(tilde_w(server, clients), server.w)
 
     def test_step_identity_of_error_shifted_iterate(self):
         """tilde_w_{t+1} - tilde_w_t == -eta * mean gradient, every round."""
         obj = quadratic_pair(d=6)
         cfg = cfg_for(AlgorithmKind.PROJFL_EF, eta=0.1,
                       compressor=CompressorSpec(CompressorKind.TOPK, k_fraction=0.34))
-        noise = NoiseModel(0.0)
-        clients = [init_client_state(cfg, 6) for _ in range(2)]
-        server = init_server_state(cfg, ParamVector.zeros(6), 2)
+        clients = init_clients(cfg, 2, 6)
+        server = init_server(cfg, np.zeros(6), 2)
         for t in range(50):
-            tilde_before = diagnostic_tilde_w(server, clients).values
-            w = ParamVector(server.w, copy=True)
-            uploads, new_clients, grads = [], [], []
-            for i in range(2):
-                g = stochastic_gradient(obj, i, w, noise,
-                                        derive_stream(0, i, t, StreamPurpose.GRADIENT_NOISE))
-                grads.append(g.values)
-                up, st = client_round(cfg, clients[i], g, None)
-                uploads.append(up)
-                new_clients.append(st)
-            server = server_round(cfg, server, uploads)
-            clients = new_clients
-            tilde_after = diagnostic_tilde_w(server, clients).values
-            expected = tilde_before - cfg.eta * np.mean(grads, axis=0)
-            assert np.max(np.abs(tilde_after - expected)) <= 1e-10
-
-    def test_rejected_for_error_free_kind(self):
-        cfg = cfg_for(AlgorithmKind.FEDAVG)
-        server = init_server_state(cfg, ParamVector.zeros(2), 1)
-        with pytest.raises(ValueError):
-            diagnostic_tilde_w(server, [init_client_state(cfg, 2)])
+            tilde_before = tilde_w(server, clients)
+            g = step(cfg, obj, clients, server, t)
+            expected = tilde_before - cfg.eta * np.mean(g, axis=0)
+            assert np.max(np.abs(tilde_w(server, clients) - expected)) <= 1e-10
 
 
 class TestDecompositionInvariant:
@@ -300,92 +310,49 @@ class TestDecompositionInvariant:
         cfg = cfg_for(AlgorithmKind.PROJFL, eta=0.3,
                       compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=0.25))
         noise = NoiseModel(0.5)
-        clients = [init_client_state(cfg, 8) for _ in range(2)]
-        server = init_server_state(cfg, ParamVector.zeros(8), 2)
+        clients = init_clients(cfg, 2, 8)
+        server = init_server(cfg, np.zeros(8), 2)
         for t in range(40):
-            w = ParamVector(server.w, copy=True)
-            uploads, new_clients = [], []
+            g = stochastic_gradient(obj, server.w, noise,
+                                    keys(1, obj, t, StreamPurpose.GRADIENT_NOISE))
+            dbar = clients.history.mean()
+            alpha, perp = decompose(g, dbar)
             for i in range(2):
-                g = stochastic_gradient(obj, i, w, NoiseModel(0.5),
-                                        derive_stream(1, i, t, StreamPurpose.GRADIENT_NOISE))
-                dbar = history_average(clients[i])
-                alpha, perp = project_decompose(g, dbar)
-                recon = alpha * dbar.values + perp.values
-                assert np.linalg.norm(recon - g.values) <= 1e-12 * (1 + np.linalg.norm(g.values))
-                assert abs(np.dot(dbar.values, perp.values)) <= \
-                    1e-9 * np.linalg.norm(dbar.values) * np.linalg.norm(g.values) + 1e-30
-                up, st = client_round(cfg, clients[i], g,
-                                      derive_stream(1, i, t, StreamPurpose.COMPRESSOR))
-                uploads.append(up)
-                new_clients.append(st)
-            server = server_round(cfg, server, uploads)
-            clients = new_clients
+                recon = alpha[i] * dbar[i] + perp[i]
+                assert np.linalg.norm(recon - g[i]) <= 1e-12 * (1 + np.linalg.norm(g[i]))
+                assert abs(np.dot(dbar[i], perp[i])) <= \
+                    1e-9 * np.linalg.norm(dbar[i]) * np.linalg.norm(g[i]) + 1e-30
+            up = client_round(cfg, clients, g, keys(1, obj, t, StreamPurpose.COMPRESSOR))
+            server_round(cfg, server, up)
 
 
 class TestLayerwiseProjection:
+    PART = ((0, 2), (2, 4))
+
+    def first_round(self):
+        cfg = cfg_for(AlgorithmKind.PROJFL, eta=0.5, projection_layerwise=True)
+        clients = init_clients(cfg, 1, 4)
+        clients.history.buf[0, 0] = [1.0, 0.0, 0.0, 1.0]
+        up = client_round(cfg, clients, np.array([[2.0, 1.0, 3.0, 5.0]]), None, self.PART)
+        return cfg, clients, up
+
     def test_per_layer_coefficients(self):
-        part = ((0, 2), (2, 4))
-        cfg = cfg_for(AlgorithmKind.PROJFL, projection_layerwise=True)
-        state = ClientState(1, history=(np.array([1.0, 0.0, 0.0, 1.0]),))
-        g = ParamVector([2.0, 1.0, 3.0, 5.0], part)
-        up, _ = client_round(cfg, state, g, None)
-        assert isinstance(up.dbar_coeff, tuple)
-        assert up.dbar_coeff == (2.0, 5.0)
+        _, _, up = self.first_round()
+        assert up.coeff.tolist() == [[2.0, 5.0]]
         assert up.n_scalars == 2
 
     def test_server_reconstructs_with_partition(self):
-        part = ((0, 2), (2, 4))
-        cfg = cfg_for(AlgorithmKind.PROJFL, eta=0.5, projection_layerwise=True)
-        hist = (np.array([1.0, 0.0, 0.0, 1.0]),)
-        state = ClientState(1, history=hist)
-        g = ParamVector([2.0, 1.0, 3.0, 5.0], part)
-        up, new_state = client_round(cfg, state, g, None)
-        server = init_server_state(cfg, ParamVector.zeros(4), 1)
-        server = ServerStateWithHist = server.__class__(
-            server.round_index, server.w, 1, mirror_history=(hist,))
-        new_server = server_round(cfg, server, [up], layer_partition=part)
-        assert np.array_equal(new_server.mirror_history[0][-1], new_state.history[-1])
+        cfg, clients, up = self.first_round()
+        server = init_server(cfg, np.zeros(4), 1)
+        server.mirror_history.buf[0, 0] = [1.0, 0.0, 0.0, 1.0]
+        server_round(cfg, server, up, layer_partition=self.PART)
+        assert np.array_equal(newest(server.mirror_history), newest(clients.history))
+        assert_mirror(server, clients)
 
-
-class TestSnapshots:
-    def test_resume_replays_identically(self, tmp_path):
-        obj = quadratic_pair(d=4)
-        cfg = cfg_for(AlgorithmKind.PROJFL_EF, eta=0.05,
-                      compressor=CompressorSpec(CompressorKind.TOPK, k_fraction=0.5))
-        noise = NoiseModel(0.4)
-
-        def step(server, clients, t, seed=7):
-            w = ParamVector(server.w, copy=True)
-            ups, new = [], []
-            for i in range(2):
-                g = stochastic_gradient(obj, i, w, noise,
-                                        derive_stream(seed, i, t, StreamPurpose.GRADIENT_NOISE))
-                up, st = client_round(cfg, clients[i], g,
-                                      derive_stream(seed, i, t, StreamPurpose.COMPRESSOR))
-                ups.append(up)
-                new.append(st)
-            return server_round(cfg, server, ups), new
-
-        clients = [init_client_state(cfg, 4) for _ in range(2)]
-        server = init_server_state(cfg, ParamVector.zeros(4), 2)
-        for t in range(20):
-            server, clients = step(server, clients, t)
-            if t == 9:
-                save_snapshot(tmp_path / "snap.npz", cfg, server, clients)
-        w_full = server.w.copy()
-
-        server2, clients2 = load_snapshot(tmp_path / "snap.npz", cfg)
-        for t in range(10, 20):
-            server2, clients2 = step(server2, clients2, t)
-        assert np.array_equal(server2.w, w_full)
-
-    def test_kind_mismatch_rejected(self, tmp_path):
-        cfg = cfg_for(AlgorithmKind.EF21)
-        server = init_server_state(cfg, ParamVector.zeros(2), 1)
-        clients = [init_client_state(cfg, 2)]
-        save_snapshot(tmp_path / "s.npz", cfg, server, clients)
-        with pytest.raises(ValueError):
-            load_snapshot(tmp_path / "s.npz", cfg_for(AlgorithmKind.DIANA))
+    def test_server_needs_partition(self):
+        cfg, _, up = self.first_round()
+        with pytest.raises(ValueError, match="layer_partition"):
+            server_round(cfg, init_server(cfg, np.zeros(4), 1), up)
 
 
 class TestConfigValidation:

@@ -69,6 +69,39 @@ def _cases():
         name="mlp-projfl-randk-projlayerwise", **mlp, algorithm="projfl",
         compressor="randk", k_fraction=0.25, layerwise="true",
         projection_layerwise="true", rounds=15, seeds="0:2"))
+    # paths the grid above leaves out: noise and cadence variants, history
+    # windows, layerwise randk with a flat projection, the compact index cost
+    # model, a diverging run, and more than 32 clients (many rows per kernel call)
+    quad = OBJECTIVES["quad"]
+    randk = COMPRESSORS["randk"]
+    extra = {
+        "quad-projfl-randk-ball": dict(quad, algorithm="projfl", **randk,
+                                       noise="uniform_ball", sigma=0.3),
+        "quad-projfl_ef-topk-sigma0": dict(quad, algorithm="projfl_ef",
+                                           **COMPRESSORS["topk"], sigma=0.0),
+        "quad-ef-qsgd-cadence3": dict(quad, algorithm="ef", **COMPRESSORS["qsgd"],
+                                      cadence=3, rounds=16),
+        "quad-projfl-randk-K1": dict(quad, algorithm="projfl", **randk, history_window=1),
+        "quad-projfl_ef-qsgd-K5": dict(quad, algorithm="projfl_ef", **COMPRESSORS["qsgd"],
+                                       history_window=5),
+        "mlp-projfl-randk-layerwise": dict(mlp, algorithm="projfl", **randk,
+                                           layerwise="true"),
+        "quad-projfl-topk-ceillog2": dict(quad, algorithm="projfl", **COMPRESSORS["topk"],
+                                          index_bits_mode="ceil_log2_dim", header_bits=8),
+        "quad-projfl-diverge": dict(quad, algorithm="projfl", **randk, eta=1e200),
+        "quad-projfl-randk-M40": dict(quad, dim=24, clients=40, algorithm="projfl",
+                                      **randk),
+        "logi-ef21-qsgd-M33": dict(OBJECTIVES["logi"], clients=33, algorithm="ef21",
+                                   **COMPRESSORS["qsgd"]),
+        "quad-projfl_ef-id-d1": dict(quad, dim=1, algorithm="projfl_ef",
+                                     **COMPRESSORS["id"]),
+        "quad-projfl-randk-d2": dict(quad, dim=2, algorithm="projfl", **randk),
+        "quad-projfl_ef-id-d1-K9": dict(quad, dim=1, algorithm="projfl_ef",
+                                        **COMPRESSORS["id"], history_window=9, rounds=40),
+    }
+    for name, values in extra.items():
+        cases[name] = ("run", None, 1, dict(dict(rounds=15, seeds="0:2", name=name),
+                                            **values))
     # --jobs 2 must write what --jobs 1 writes (see test_jobs_two_matches_jobs_one)
     twin = dict(cases["logi-projfl-qsgd"][3], seeds="0:4")
     cases["jobs1-logi-projfl-qsgd"] = ("run", None, 1, dict(twin, name="jobs-logi"))

@@ -93,3 +93,22 @@ class TestObjectiveBuild:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
         assert out.splitlines()[-1] == "0 []"
+
+
+class TestDefinedExits:
+    def test_nonfinite_iterate_is_divergence(self, tmp_path, capsys):
+        # the norm guard alone never fires at an infinite threshold
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", objective="logistic", dim=6, clients=3,
+                        samples_per_client=10, algorithm="ef21", eta=1e200,
+                        divergence_threshold="inf", rounds=10, seeds="0:2")
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("divergence: seeds [0, 1]") and err.count("\n") == 1
+        summary = json.loads((tmp_path / "c" / "summary.json").read_text())
+        assert [s["diverged_at"] for s in summary["per_seed"]] == [2, 2]
+
+    @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.1"]])
+    def test_missing_preset_is_one_line_exit_1(self, tmp_path, capsys, command):
+        argv = [command[0], "preset:x", *command[1:], "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: no preset 'x': no presets are bundled\n"

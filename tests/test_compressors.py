@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedproj import backend
+from fedproj.accounting import DEFAULT_COST_MODEL, message_bits
 from fedproj.compressors import (
     BiasedCompressorError,
     CompressedMessage,
@@ -22,11 +23,21 @@ from fedproj.compressors import (
     estimate_delta,
     k_eff,
 )
-from fedproj.vectors import ParamVector, StreamPurpose, derive_stream
+from fedproj.vectors import StreamPurpose, stream_keys
 
 
 def stream(seed=0, round_index=0):
-    return derive_stream(seed, 0, round_index, StreamPurpose.COMPRESSOR)
+    """Compressor stream keys of client 0 at one round (or an array of rounds)."""
+    return stream_keys(seed, 0, round_index, StreamPurpose.COMPRESSOR)
+
+
+def rows(g):
+    return np.atleast_2d(np.asarray(g, dtype=np.float64))
+
+
+def roundtrip(spec, g, keys=None, layers=None):
+    """Decoded rows of ``compress`` on the rows of ``g``."""
+    return decode(compress(spec, rows(g), keys, layers))
 
 
 def topk_oracle(values: np.ndarray, k: int) -> np.ndarray:
@@ -97,33 +108,32 @@ class TestSpec:
 
 class TestIdentity:
     def test_roundtrip_exact(self):
-        g = ParamVector(np.linspace(-3, 4, 9))
+        g = rows(np.linspace(-3, 4, 9))
         msg = compress(CompressorSpec(CompressorKind.IDENTITY), g)
         assert isinstance(msg.payload, DensePayload)
-        assert np.array_equal(decode(msg).values, g.values)
+        assert np.array_equal(decode(msg), g)
 
     def test_bits(self):
-        g = ParamVector(np.zeros(100))
-        msg = compress(CompressorSpec(CompressorKind.IDENTITY), g)
-        assert msg.bit_size == 3200
+        msg = compress(CompressorSpec(CompressorKind.IDENTITY), np.zeros((2, 100)))
+        assert message_bits(DEFAULT_COST_MODEL, msg).tolist() == [3200, 3200]
 
 
 class TestTopK:
     def test_two_largest_magnitudes(self):
-        g = ParamVector([3.0, -1.0, 0.5, -4.0])
+        g = rows([[3.0, -1.0, 0.5, -4.0], [0.0, 1.0, -2.0, 0.5]])
         msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.5), g)
         assert isinstance(msg.payload, SparsePayload)
-        assert msg.payload.indices.tolist() == [0, 3]
-        assert msg.payload.values.tolist() == [3.0, -4.0]
+        assert msg.payload.indices.tolist() == [[0, 3], [1, 2]]
+        assert msg.payload.values.tolist() == [[3.0, -4.0], [1.0, -2.0]]
 
     def test_tie_break_lowest_index(self):
-        g = ParamVector([2.0, -2.0, 2.0, 1.0])
-        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.5), g)
-        assert msg.payload.indices.tolist() == [0, 1]
+        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.5),
+                       rows([2.0, -2.0, 2.0, 1.0]))
+        assert msg.payload.indices.tolist() == [[0, 1]]
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(3)
-        g = ParamVector(rng.standard_normal(40))
+        g = rows(rng.standard_normal(40))
         spec = CompressorSpec(CompressorKind.TOPK, k_fraction=0.25)
         m1, m2 = compress(spec, g), compress(spec, g)
         assert np.array_equal(m1.payload.indices, m2.payload.indices)
@@ -133,11 +143,10 @@ class TestTopK:
     @example(np.full(12, 42.0378369))  # all-equal magnitudes meet the bound exactly
     @settings(max_examples=80, deadline=None)
     def test_contraction_holds_everywhere(self, raw):
-        g = ParamVector(raw)
         spec = CompressorSpec(CompressorKind.TOPK, k_fraction=0.25)
         delta = estimate_delta(spec, 12)
-        err = decode(compress(spec, g)).values - g.values
-        gg = g.values @ g.values
+        err = roundtrip(spec, raw)[0] - raw
+        gg = raw @ raw
         # relative slack: at equality the two sides differ only by rounding
         assert err @ err <= (1 - delta) * gg + 1e-12 * (1 + gg)
 
@@ -164,18 +173,23 @@ class TestTopK:
         part = [(0, 50), (50, 53), (53, 153), (153, 154)]
         raw = rng.integers(-4, 5, 154).astype(np.float64)
         spec = CompressorSpec(CompressorKind.TOPK, k_fraction=0.1, layerwise=True)
-        msg = compress(spec, ParamVector(raw, part))
+        msg = compress(spec, rows(raw), layer_partition=part)
         expected = np.concatenate([
             start + topk_oracle(raw[start:stop], k_eff(0.1, stop - start))
             for start, stop in part])
-        assert msg.payload.indices.tolist() == expected.tolist()
-        assert msg.payload.values.tolist() == raw[expected].tolist()
+        assert msg.payload.indices[0].tolist() == expected.tolist()
+        assert msg.payload.values[0].tolist() == raw[expected].tolist()
 
     def test_layerwise_keeps_one_per_layer(self):
         part = [(0, 3), (3, 6)]
-        g = ParamVector([5.0, 1.0, 0.0, 0.0, 0.1, 0.2], part)
-        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.34, layerwise=True), g)
-        assert msg.payload.indices.tolist() == [0, 5]
+        g = rows([5.0, 1.0, 0.0, 0.0, 0.1, 0.2])
+        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.34, layerwise=True),
+                       g, layer_partition=part)
+        assert msg.payload.indices.tolist() == [[0, 5]]
+
+    def test_nan_ranks_as_infinite(self):
+        got = backend.topk_indices(np.array([1.0, np.nan, -3.0, np.inf, 2.0]), 3)
+        assert got.tolist() == [1, 2, 3]
 
 
 class TestRandK:
@@ -188,21 +202,20 @@ class TestRandK:
             assert second == pytest.approx((d / k) * (g @ g), rel=1e-12)
 
     def test_compressor_matches_subset_semantics(self):
-        g = ParamVector([1.0, 2.0, 3.0, 4.0])
+        g = rows([1.0, 2.0, 3.0, 4.0])
         spec = CompressorSpec(CompressorKind.RANDK, k_fraction=0.5)
         msg = compress(spec, g, stream())
         assert isinstance(msg.payload, SparsePayload)
-        assert len(msg.payload.indices) == 2
-        assert np.allclose(msg.payload.values, 2.0 * g.values[msg.payload.indices])
+        assert msg.payload.indices.shape == (1, 2)
+        assert np.allclose(msg.payload.values, 2.0 * g[0, msg.payload.indices])
 
     def test_subset_frequencies_uniform(self):
-        g = ParamVector([1.0, 1.0, 1.0, 1.0])
         spec = CompressorSpec(CompressorKind.RANDK, k_fraction=0.5)
         seen = {}
         n = 6000
-        for r in range(n):
-            msg = compress(spec, g, stream(round_index=r))
-            key = tuple(msg.payload.indices.tolist())
+        msg = compress(spec, np.ones((n, 4)), stream(round_index=np.arange(n)))
+        for picked in msg.payload.indices:
+            key = tuple(picked.tolist())
             seen[key] = seen.get(key, 0) + 1
         assert len(seen) == 6
         for count in seen.values():
@@ -210,42 +223,49 @@ class TestRandK:
 
     def test_monte_carlo_unbiased(self):
         rng = np.random.default_rng(5)
-        g = ParamVector(rng.standard_normal(10))
+        g = rng.standard_normal(10)
         spec = CompressorSpec(CompressorKind.RANDK, k_fraction=0.3)
         n = 20_000
-        acc = np.zeros(10)
-        for r in range(n):
-            acc += decode(compress(spec, g, stream(round_index=r))).values
-        stderr = np.abs(g.values) * (np.sqrt(10 / 3) / np.sqrt(n)) + 1e-3
-        assert np.all(np.abs(acc / n - g.values) < 5 * stderr)
+        acc = roundtrip(spec, np.tile(g, (n, 1)), stream(round_index=np.arange(n))).sum(axis=0)
+        stderr = np.abs(g) * (np.sqrt(10 / 3) / np.sqrt(n)) + 1e-3
+        assert np.all(np.abs(acc / n - g) < 5 * stderr)
 
     def test_requires_rng(self):
         with pytest.raises(ValueError):
             compress(CompressorSpec(CompressorKind.RANDK, k_fraction=0.5),
-                     ParamVector([1.0, 2.0]))
+                     rows([1.0, 2.0]))
 
     def test_layerwise_scaling_per_layer(self):
         part = [(0, 2), (2, 6)]
-        g = ParamVector([1.0, 1.0, 2.0, 2.0, 2.0, 2.0], part)
+        g = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
         spec = CompressorSpec(CompressorKind.RANDK, k_fraction=0.5, layerwise=True)
-        msg = compress(spec, g, stream())
-        for idx, val in zip(msg.payload.indices, msg.payload.values):
+        msg = compress(spec, rows(g), stream(), part)
+        for idx, val in zip(msg.payload.indices[0], msg.payload.values[0]):
             expected_scale = 2.0  # both layers keep half their coordinates
-            assert val == pytest.approx(expected_scale * g.values[idx])
+            assert val == pytest.approx(expected_scale * g[idx])
+
+    def test_rows_match_single_row_calls(self):
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((5, 30))
+        keys = stream_keys(3, np.arange(5), 2, StreamPurpose.COMPRESSOR)
+        for spec in [CompressorSpec(CompressorKind.RANDK, k_fraction=0.2),
+                     CompressorSpec(CompressorKind.RANDK, k_fraction=0.2, layerwise=True),
+                     CompressorSpec(CompressorKind.QSGD, s_levels=3)]:
+            batched = roundtrip(spec, g, keys, ((0, 7), (7, 30)))
+            for r in range(5):
+                alone = roundtrip(spec, g[r], keys[r:r + 1], ((0, 7), (7, 30)))
+                assert np.array_equal(batched[r], alone[0])
 
 
 class TestQsgd:
     def test_two_coordinate_example(self):
         # g = (3, 4), s = 1: ratio_1 = 0.6 so level 1 appears with prob 0.6
-        g = ParamVector([3.0, 4.0])
         spec = CompressorSpec(CompressorKind.QSGD, s_levels=1)
         n = 10_000
-        hits = vals = 0
-        for r in range(n):
-            v = decode(compress(spec, g, stream(round_index=r))).values
-            assert v[0] in (0.0, 5.0)
-            hits += v[0] == 5.0
-            vals += v[0]
+        v = roundtrip(spec, np.tile([3.0, 4.0], (n, 1)), stream(round_index=np.arange(n)))
+        assert set(v[:, 0].tolist()) <= {0.0, 5.0}
+        hits = np.count_nonzero(v[:, 0] == 5.0)
+        vals = v[:, 0].sum()
         stderr = np.sqrt(0.6 * 0.4 / n)
         assert abs(hits / n - 0.6) < 5 * stderr
         assert abs(vals / n - 3.0) < 5 * 5.0 * stderr
@@ -259,30 +279,31 @@ class TestQsgd:
                 assert np.allclose(mean, g, rtol=0, atol=1e-12)
 
     def test_decode_reconstruction_by_hand(self):
-        payload = QuantizedPayload(norm=5.0, signs=np.array([0, 0], np.uint8),
-                                   levels=np.array([1, 1], np.int64), s_levels=1)
-        msg = CompressedMessage(payload, 2, 2 + 32 + 2)
-        assert decode(msg).values.tolist() == [5.0, 5.0]
+        payload = QuantizedPayload(norm=np.array([5.0]), signs=np.array([[0, 1]], np.uint8),
+                                   levels=np.array([[1, 1]], np.int64), s_levels=1)
+        assert decode(CompressedMessage(payload, 2)).tolist() == [[5.0, -5.0]]
 
     def test_zero_vector_short_circuit(self):
-        g = ParamVector(np.zeros(6))
-        msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=2), g, stream())
-        assert isinstance(msg.payload, SparsePayload)
-        assert len(msg.payload.indices) == 0
-        assert np.all(decode(msg).values == 0.0)
+        g = np.zeros((2, 6))
+        g[1, 2] = -1.5
+        msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=2), g,
+                       stream_keys(0, np.arange(2), 0, StreamPurpose.COMPRESSOR))
+        assert msg.payload.norm.tolist() == [0.0, 1.5]
+        assert message_bits(DEFAULT_COST_MODEL, msg).tolist() == [0, 32 + 6 + 12]
+        assert np.array_equal(decode(msg), g)
 
     def test_levels_bounded(self):
         rng = np.random.default_rng(8)
-        g = ParamVector(rng.standard_normal(30))
+        g = rows(rng.standard_normal(30))
         for s in (1, 2, 5):
             msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=s), g, stream())
             assert msg.payload.levels.max() <= s
             assert msg.payload.levels.min() >= 0
 
     def test_single_nonzero_exact(self):
-        g = ParamVector([0.0, -7.0, 0.0])
+        g = rows([0.0, -7.0, 0.0])
         msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=2), g, stream())
-        assert np.allclose(decode(msg).values, g.values)
+        assert np.allclose(decode(msg), g)
 
 
 class TestCertificates:
@@ -313,18 +334,18 @@ class TestCertificates:
     def test_topk_delta_and_witness(self):
         spec = CompressorSpec(CompressorKind.TOPK, k_fraction=0.5)
         assert estimate_delta(spec, 4) == 0.5
-        witness = ParamVector([1.0, 1.0, 1.0, 1.0])
-        err = decode(compress(spec, witness)).values - witness.values
+        witness = np.ones((1, 4))
+        err = (roundtrip(spec, witness) - witness)[0]
         assert err @ err == pytest.approx((1 - 0.5) * 4.0, rel=1e-14)
 
     def test_topk_contraction_monte_carlo(self):
         spec = CompressorSpec(CompressorKind.TOPK, k_fraction=0.5)
         delta = estimate_delta(spec, 4)
         rng = np.random.default_rng(13)
-        for _ in range(10_000):
-            g = rng.standard_normal(4)
-            err = decode(compress(spec, ParamVector(g))).values - g
-            assert err @ err <= (1 - delta) * (g @ g) + 1e-12
+        g = rng.standard_normal((10_000, 4))
+        err = roundtrip(spec, g) - g
+        for e, row in zip(err, g):
+            assert e @ e <= (1 - delta) * (row @ row) + 1e-12
 
     def test_qsgd_beta_bound_monte_carlo(self):
         for d, s in [(8, 1), (8, 2), (20, 1)]:
@@ -333,10 +354,8 @@ class TestCertificates:
             data_rng = np.random.default_rng(d * 10 + s)
             g = data_rng.standard_normal(d)
             n = 10_000
-            acc = np.empty(n)
-            for r in range(n):
-                v = decode(compress(spec, ParamVector(g), stream(round_index=r))).values
-                acc[r] = v @ v
+            v = roundtrip(spec, np.tile(g, (n, 1)), stream(round_index=np.arange(n)))
+            acc = np.array([row @ row for row in v])
             mean = acc.mean()
             stderr = acc.std(ddof=1) / np.sqrt(n)
             assert mean <= beta * (g @ g) * (1 + 5 * stderr / max(mean, 1e-300))
@@ -349,24 +368,27 @@ class TestCertificates:
 class TestMessages:
     def test_sparse_validation(self):
         with pytest.raises(ValueError):
-            SparsePayload(np.array([3, 1], np.int64), np.array([1.0, 2.0]))
+            SparsePayload(np.array([[0, 2], [3, 1]], np.int64), np.ones((2, 2)))
         with pytest.raises(ValueError):
-            CompressedMessage(SparsePayload(np.array([5], np.int64), np.array([1.0])), 4, 64)
+            CompressedMessage(SparsePayload(np.array([[5]], np.int64), np.array([[1.0]])), 4)
 
     def test_quantized_validation(self):
         with pytest.raises(ValueError):
-            QuantizedPayload(-1.0, np.zeros(2, np.uint8), np.zeros(2, np.int64), 1)
+            QuantizedPayload(np.array([-1.0]), np.zeros((1, 2), np.uint8),
+                             np.zeros((1, 2), np.int64), 1)
         with pytest.raises(ValueError):
-            QuantizedPayload(1.0, np.zeros(2, np.uint8), np.array([0, 3], np.int64), 2)
+            QuantizedPayload(np.array([1.0]), np.zeros((1, 2), np.uint8),
+                             np.array([[0, 3]], np.int64), 2)
 
     def test_decode_bad_level(self):
-        payload = QuantizedPayload(1.0, np.zeros(2, np.uint8), np.array([0, 2], np.int64), 2)
-        hacked = CompressedMessage(payload, 2, 100)
-        payload.levels[1] = 5  # corrupt after construction-time validation
+        payload = QuantizedPayload(np.array([1.0]), np.zeros((1, 2), np.uint8),
+                                   np.array([[0, 2]], np.int64), 2)
+        hacked = CompressedMessage(payload, 2)
+        payload.levels[0, 1] = 5  # corrupt after construction-time validation
         with pytest.raises(ValueError):
             decode(hacked)
 
     def test_sparse_bits_formula(self):
-        g = ParamVector(np.arange(1.0, 11.0))
-        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.2), g)
-        assert msg.bit_size == 2 * (32 + 32)
+        msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.2),
+                       rows(np.arange(1.0, 11.0)))
+        assert message_bits(DEFAULT_COST_MODEL, msg).tolist() == [2 * (32 + 32)]

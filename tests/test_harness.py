@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from fedproj.algorithms import (
-    AlgorithmConfig,
-    AlgorithmKind,
-    client_round,
-    init_client_state,
-    init_server_state,
-    server_round,
-)
+from fedproj.algorithms import AlgorithmConfig, AlgorithmKind
 from fedproj.compressors import CompressorKind, CompressorSpec
 from fedproj.harness import (
     ObjectiveConfig,
@@ -29,7 +22,7 @@ from fedproj.harness import (
     write_metrics_csv,
 )
 from fedproj.objectives import NoiseModel, ObjectiveKind, stochastic_gradient
-from fedproj.vectors import ParamVector, StreamPurpose, derive_stream
+from fedproj.vectors import ParamVector, StreamPurpose, derive_stream, stream_keys
 
 QUAD = ObjectiveConfig(ObjectiveKind.QUADRATIC, d=2, clients=2)
 IDENTITY = CompressorSpec(CompressorKind.IDENTITY)
@@ -104,34 +97,20 @@ class TestRun:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_client_order_independence(self):
-        """Evaluating clients in reverse order changes nothing (keyed streams)."""
-        ocfg = QUAD
-        obj = build_objective(ocfg)
-        alg = AlgorithmConfig(AlgorithmKind.PROJFL_EF, eta=0.1,
-                              compressor=CompressorSpec(CompressorKind.TOPK, k_fraction=0.5))
+        """A client's draws do not depend on the other clients (keyed streams):
+        the batched gradient rows equal draws made client by client, in reverse."""
+        obj = build_objective(ObjectiveConfig(ObjectiveKind.QUADRATIC, d=5, clients=4,
+                                              centers="random"))
         noise = NoiseModel(0.5)
-
-        def trajectory(order):
-            clients = [init_client_state(alg, obj.d) for _ in range(2)]
-            server = init_server_state(alg, ParamVector.zeros(obj.d), 2)
-            traj = []
-            for t in range(30):
-                w = ParamVector(server.w, copy=True)
-                uploads = [None, None]
-                new_clients = [None, None]
-                for i in order:
-                    g = stochastic_gradient(obj, i, w, noise,
-                                            derive_stream(5, i, t, StreamPurpose.GRADIENT_NOISE))
-                    up, st = client_round(alg, clients[i], g,
-                                          derive_stream(5, i, t, StreamPurpose.COMPRESSOR))
-                    uploads[i] = up
-                    new_clients[i] = st
-                server = server_round(alg, server, uploads)
-                clients = new_clients
-                traj.append(server.w.copy())
-            return np.array(traj)
-
-        assert np.array_equal(trajectory([0, 1]), trajectory([1, 0]))
+        rng = np.random.default_rng(0)
+        for t in range(30):
+            w = rng.standard_normal(5)
+            rows = stochastic_gradient(obj, w, noise, stream_keys(
+                5, np.arange(4), t, StreamPurpose.GRADIENT_NOISE))
+            for i in (3, 2, 1, 0):
+                key = derive_stream(5, i, t, StreamPurpose.GRADIENT_NOISE).key
+                alone = obj._client_grad(i, w) + noise.draw(5, key)[0]
+                assert np.array_equal(rows[i], alone)
 
     def test_divergence_guard(self):
         cfg = quad_config(eta=3.0, rounds=200)  # |1 - eta| = 2: diverges

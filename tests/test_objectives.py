@@ -13,7 +13,7 @@ from fedproj.objectives import (
     stochastic_gradient,
     verify_h2,
 )
-from fedproj.vectors import ParamVector, StreamPurpose, derive_stream
+from fedproj.vectors import ParamVector, StreamPurpose, stream_keys
 
 
 def central_difference(loss_fn, w: np.ndarray, step=1e-5) -> np.ndarray:
@@ -199,37 +199,46 @@ class TestFusedLossGrad:
                                       for s in (0.1, 1.0, 5.0) for _ in range(4)]
         for arr in points:
             w = ParamVector(arr, obj.layer_partition)
-            loss, grad = obj.loss_grad(w)
+            loss, grad = obj.loss_grad(arr)
             assert loss == obj.loss(w)
             assert np.array_equal(grad, obj.grad(w).values)
+
+    def test_client_grads_rows_equal_client_grad(self, obj):
+        rng = np.random.default_rng(14)
+        for arr in [np.zeros(obj.d), rng.standard_normal(obj.d)]:
+            rows = obj.client_grads(arr)
+            assert rows.shape == (obj.M, obj.d)
+            for i in range(obj.M):
+                assert np.array_equal(rows[i], obj.client_grad(i, ParamVector(arr)).values)
+
+
+def noise_keys(seed, obj, round_index=0):
+    return stream_keys(seed, np.arange(obj.M), round_index, StreamPurpose.GRADIENT_NOISE)
 
 
 class TestStochasticGradient:
     def test_sigma_zero_exact(self):
         obj = two_point_quadratic()
-        w = ParamVector([3.0, 4.0])
-        rng = derive_stream(0, 0, 0, StreamPurpose.GRADIENT_NOISE)
-        g = stochastic_gradient(obj, 0, w, NoiseModel(0.0), rng)
-        assert np.array_equal(g.values, w.values - obj.centers[0])
+        w = np.array([3.0, 4.0])
+        g = stochastic_gradient(obj, w, NoiseModel(0.0), noise_keys(0, obj))
+        assert np.array_equal(g, w - obj.centers)
 
     def test_zero_at_client_optimum(self):
         obj = two_point_quadratic()
-        g = stochastic_gradient(obj, 1, ParamVector([2.0, 0.0]), NoiseModel(0.0),
-                                derive_stream(0, 1, 0, StreamPurpose.GRADIENT_NOISE))
-        assert np.all(g.values == 0.0)
+        g = stochastic_gradient(obj, np.array([2.0, 0.0]), NoiseModel(0.0), noise_keys(0, obj))
+        assert np.all(g[1] == 0.0)
 
     @pytest.mark.parametrize("dist", [NoiseKind.GAUSSIAN_ISO, NoiseKind.UNIFORM_BALL])
     def test_monte_carlo_unbiased(self, dist):
         obj = two_point_quadratic()
-        w = ParamVector([0.5, -0.5])
+        w = np.array([0.5, -0.5])
         sigma = 0.8
         noise = NoiseModel(sigma, dist)
         n = 10_000
         acc = np.zeros(2)
         for r in range(n):
-            rng = derive_stream(5, 0, r, StreamPurpose.GRADIENT_NOISE)
-            acc += stochastic_gradient(obj, 0, w, noise, rng).values
-        exact = w.values - obj.centers[0]
+            acc += stochastic_gradient(obj, w, noise, noise_keys(5, obj, r))[0]
+        exact = w - obj.centers[0]
         stderr = sigma / np.sqrt(2) / np.sqrt(n)
         assert np.all(np.abs(acc / n - exact) <= 4 * stderr + 1e-12)
 
@@ -237,25 +246,35 @@ class TestStochasticGradient:
         noise = NoiseModel(1.5, NoiseKind.GAUSSIAN_ISO)
         total = 0.0
         n = 20_000
-        for r in range(n):
-            xi = noise.draw(6, derive_stream(9, 0, r, StreamPurpose.GRADIENT_NOISE))
+        keys = stream_keys(9, 0, np.arange(n), StreamPurpose.GRADIENT_NOISE)
+        for xi in noise.draw(6, keys):
             total += xi @ xi
         assert total / n == pytest.approx(1.5 ** 2, rel=0.05)
 
         ball = NoiseModel(1.5, NoiseKind.UNIFORM_BALL)
         total = 0.0
-        for r in range(n):
-            xi = ball.draw(6, derive_stream(10, 0, r, StreamPurpose.GRADIENT_NOISE))
+        for xi in ball.draw(6, stream_keys(10, 0, np.arange(n), StreamPurpose.GRADIENT_NOISE)):
             nrm2 = xi @ xi
             assert nrm2 <= 1.5 ** 2 + 1e-12
             total += nrm2
         assert total / n <= 1.5 ** 2
 
     def test_bad_client(self):
+        """One stream key per client: a key array of the wrong length is rejected."""
         obj = two_point_quadratic()
-        with pytest.raises(ValueError):
-            stochastic_gradient(obj, 7, ParamVector([0.0, 0.0]), NoiseModel(0.0),
-                                derive_stream(0, 7, 0, StreamPurpose.GRADIENT_NOISE))
+        with pytest.raises(ValueError, match="expected 2 stream keys"):
+            stochastic_gradient(obj, np.zeros(2), NoiseModel(0.0),
+                                stream_keys(0, np.arange(7), 0, StreamPurpose.GRADIENT_NOISE))
+
+    @pytest.mark.parametrize("dist", [NoiseKind.GAUSSIAN_ISO, NoiseKind.UNIFORM_BALL])
+    def test_noise_rows_do_not_depend_on_block_size(self, dist, monkeypatch):
+        import fedproj.objectives as objectives
+        obj = make_quadratic(5, 7, [np.full(7, float(i)) for i in range(5)])
+        noise = NoiseModel(0.4, dist)
+        whole = stochastic_gradient(obj, np.ones(7), noise, noise_keys(3, obj))
+        monkeypatch.setattr(objectives, "NOISE_BLOCK_BYTES", 8 * 7 * 2)  # two rows a block
+        assert np.array_equal(stochastic_gradient(obj, np.ones(7), noise, noise_keys(3, obj)),
+                              whole)
 
 
 class TestDatasetIO:

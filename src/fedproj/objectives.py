@@ -152,10 +152,6 @@ class FederatedObjective(ABC):
             out[i] = self._client_grad(i, w)
         return out
 
-    def client_loss(self, client_id: int, w: ParamVector) -> float:
-        self._check_client(client_id)
-        return self._client_loss(client_id, w.values)
-
     def client_grad(self, client_id: int, w: ParamVector) -> ParamVector:
         self._check_client(client_id)
         return ParamVector(self._client_grad(client_id, w.values),
@@ -180,14 +176,11 @@ class FederatedObjective(ABC):
         return sum(losses) / self.M, acc / self.M
 
     def _grad_mean(self, warr: np.ndarray) -> np.ndarray:
-        acc = self._client_grad(0, warr)
-        for i in range(1, self.M):
-            acc = acc + self._client_grad(i, warr)
-        return acc / self.M
+        return self._probe(warr)[1]
 
     def _probe(self, warr: np.ndarray):
-        """``(1/M) sum_i ||grad f_i||^2`` and ``grad f`` (as ``_grad_mean``) at
-        one point, from one gradient per client."""
+        """``(1/M) sum_i ||grad f_i||^2`` and ``grad f`` (the left fold
+        ``g_0 + g_1 + ...``, then ``/ M``) at one point, one gradient per client."""
         sq = []
         acc = None
         for i in range(self.M):
@@ -239,8 +232,7 @@ class LogisticObjective(FederatedObjective):
         self.M = len(features)
         self.d = features[0].shape[1]
         self.mu = ridge
-        self.L = ridge + max(
-            float(np.linalg.eigvalsh(X.T @ X)[-1]) / (4 * X.shape[0]) for X in features)
+        self.L = ridge + self._max_curvature(features)
         self.L_certified = True
         self.w_star = None
         self.f_star = None
@@ -249,6 +241,25 @@ class LogisticObjective(FederatedObjective):
         self.a = 0.0          # filled by _estimate_dissimilarity
         self.ab_certified = False
         self._estimate_dissimilarity()
+
+    @staticmethod
+    def _max_curvature(features) -> float:
+        """``max_i lambda_max(X_i^T X_i) / (4 n_i)``, bit-equal to ``eigvalsh``
+        of every client's ``X_i^T X_i``.  Each client is first screened by the
+        smaller Gram matrix, whose top eigenvalue is the same up to rounding
+        errors far below the margin ``1e-8 ||X_i||_F^2``; only a client whose
+        upper end reaches every other client's lower end pays the d x d solve."""
+        def top(gram):
+            return float(np.linalg.eigvalsh(gram)[-1])
+
+        ends = []
+        for X in features:
+            est = top(X @ X.T if X.shape[0] < X.shape[1] else X.T @ X)
+            slack = 1e-8 * float(np.vdot(X, X))
+            ends.append([(est - slack) / (4 * len(X)), (est + slack) / (4 * len(X))])
+        floor = max(lo for lo, _ in ends) if np.isfinite(ends).all() else -np.inf
+        return max(top(X.T @ X) / (4 * len(X))
+                   for X, (_, hi) in zip(features, ends) if not hi < floor)
 
     def _client_loss(self, i, w):
         X, y = self.features[i], self.labels[i]

@@ -141,6 +141,38 @@ class TestLogistic:
             g = obj.grad(w)
             assert float(g.values @ g.values) <= 2 * obj.L * obj.loss(w) + 1e-9
 
+    @pytest.mark.parametrize("M, d, n, het", [
+        (6, 40, 8, 0.5), (6, 40, 8, 0.0), (4, 30, 30, 0.5), (4, 12, 20, 0.5),
+        (5, 60, 1, 3.0), (24, 120, 20, 0.5)])
+    def test_smoothness_equals_every_client_eigvalsh(self, M, d, n, het):
+        """The screened L is bit-equal to eigvalsh(X^T X) over every client."""
+        for seed in range(4):
+            obj = make_logistic(M, d, seed, samples_per_client=n, ridge=0.1,
+                                heterogeneity=het)
+            ref = 0.1 + max(float(np.linalg.eigvalsh(X.T @ X)[-1]) / (4 * X.shape[0])
+                            for X in obj.features)
+            assert obj.L == ref
+
+    def test_smoothness_screen_on_ties_and_ragged_clients(self, monkeypatch):
+        from fedproj.objectives import LogisticObjective
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((10, 60))
+        cases = [[X, X.copy(), X * (1 + 1e-15)], [X * (1 + 1e-15), X],
+                 [X[:5], X, X[:9] * 1.2],
+                 [rng.standard_normal((k, 40)) for k in (3, 50, 7, 40)]]
+        for feats in cases:
+            ref = max(float(np.linalg.eigvalsh(F.T @ F)[-1]) / (4 * F.shape[0])
+                      for F in feats)
+            assert LogisticObjective._max_curvature(feats) == ref
+        # a clear maximum leaves one d x d eigvalsh, not one per client
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: sizes.append(a.shape[0]) or eigvalsh(a))
+        feats = [rng.standard_normal((10, 60)) * s for s in (1.0, 2.0, 1.5)]
+        LogisticObjective._max_curvature(feats)
+        assert sorted(sizes) == [10, 10, 10, 60]
+
     def test_bad_construction(self):
         with pytest.raises(ValueError):
             make_logistic(2, 4, 0, samples_per_client=0, ridge=0.0)

@@ -30,7 +30,6 @@ from .compressors import (
     QuantizedPayload,
     SparsePayload,
 )
-from .vectors import ParamVector
 
 __all__ = [
     "IndexBitsMode",
@@ -102,29 +101,23 @@ def message_bits(model: CostModel, msg: CompressedMessage,
 
 def changed_coordinates(w_prev, w_next) -> int:
     """Coordinates whose float32 broadcast image changed, compared bitwise."""
-    a = np.ascontiguousarray(_values(w_prev), dtype=np.float32).view(np.uint32)
-    b = np.ascontiguousarray(_values(w_next), dtype=np.float32).view(np.uint32)
+    a = np.ascontiguousarray(w_prev, dtype=np.float32).view(np.uint32)
+    b = np.ascontiguousarray(w_next, dtype=np.float32).view(np.uint32)
     if a.shape != b.shape:
         raise ValueError("downlink delta requires equal dimensions")
     return int(np.count_nonzero(a != b))
 
 
-def _values(v) -> np.ndarray:
-    return v.values if isinstance(v, ParamVector) else np.asarray(v, dtype=np.float64)
-
-
 def downlink_bits(model: CostModel, w_prev, w_next) -> int:
     """Delta-broadcast cost per receiving client."""
     n = changed_coordinates(w_prev, w_next)
-    dim = len(_values(w_prev))
-    return n * (model.value_bits + index_bits(model, dim)) + model.header_bits
+    return n * (model.value_bits + index_bits(model, len(w_prev))) + model.header_bits
 
 
 @dataclass
 class TrafficLedger:
     """Per-round uplink/downlink bit counts with cumulative totals."""
 
-    uplink_per_client: List[List[int]] = field(default_factory=list)
     uplink_total: List[int] = field(default_factory=list)
     downlink_total: List[int] = field(default_factory=list)
 
@@ -132,7 +125,6 @@ class TrafficLedger:
         up = [int(b) for b in uplink_bits_per_client]
         if any(b < 0 for b in up) or downlink_total_bits < 0:
             raise ValueError("bit counts must be >= 0")
-        self.uplink_per_client.append(up)
         self.uplink_total.append(sum(up))
         self.downlink_total.append(int(downlink_total_bits))
 

@@ -10,6 +10,5 @@ from ._purekern import (
     stream_normals,
     stream_subset,
     stream_uniforms,
-    stream_words,
     topk_indices,
 )

@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -45,7 +44,6 @@ from .compressors import (
 )
 from .harness import (
     ObjectiveConfig,
-    OutputRule,
     RunConfig,
     VerifierError,
     build_objective,
@@ -126,7 +124,6 @@ _SCHEMA: Dict[str, tuple] = {
     "rounds": (int, 100),
     "seeds": (_parse_seeds, (0,)),
     "cadence": (int, 1),
-    "output_rule": (str, "last"),
     "divergence_threshold": (float, 1e12),
     # accounting
     "value_bits": (int, 32),
@@ -205,7 +202,6 @@ def build_run_config(values: Dict) -> RunConfig:
             rounds=values["rounds"],
             seeds=values["seeds"],
             cadence=values["cadence"],
-            output_rule=OutputRule(values["output_rule"]),
             cost_model=CostModel(
                 value_bits=values["value_bits"],
                 index_bits_mode=IndexBitsMode(values["index_bits_mode"]),
@@ -320,9 +316,8 @@ def cmd_run(args) -> int:
     results = run(config, jobs, obj)
     write_metrics_csv(out / "metrics.csv", results)
     write_effective_config(out / "effective_config.cfg", values)
-    summary = _summarize(results)
-    summary["output_rule"] = config.output_rule.value
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary = json.dumps(_summarize(results), indent=2, sort_keys=True)
+    (out / "summary.json").write_text(summary + "\n")
     diverged = [r.seed for r in results if r.diverged_at is not None]
     if diverged:
         print(f"divergence: seeds {diverged} left the iterate guard (an entry not "
@@ -510,30 +505,12 @@ def cmd_export(args) -> int:
     return 0
 
 
-def preset_path(name: str) -> Path:
-    """Path of a bundled preset config (without the .cfg suffix)."""
-    base = resources.files("fedproj").joinpath("presets")
-    candidate = base.joinpath(f"{name}.cfg")
-    if not candidate.is_file():
-        available = sorted(p.name[:-4] for p in base.iterdir()
-                           if p.name.endswith(".cfg")) if base.is_dir() else []
-        if not available:
-            raise FileNotFoundError(f"no preset {name!r}: no presets are bundled")
-        raise FileNotFoundError(f"no preset {name!r}; available: {', '.join(available)}")
-    return Path(str(candidate))
-
-
-def _add_config_arg(sub, kind):
-    sub.add_argument("config", help="path to a run config file, or preset:<name>")
+def _add_config_arg(sub):
+    sub.add_argument("config", help="path to a run config file")
     sub.add_argument("--out", default=None,
                      help="output root (default: $FEDPROJ_OUT or ./runs)")
     sub.add_argument("--jobs", type=int, default=None,
                      help="parallel seed workers (default: seeds capped at cores)")
-
-
-def _resolve_preset(args):
-    if args.config.startswith("preset:"):
-        args.config = str(preset_path(args.config.split(":", 1)[1]))
 
 
 def main(argv=None) -> int:
@@ -543,10 +520,10 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a run config and write metrics")
-    _add_config_arg(p_run, "run")
+    _add_config_arg(p_run)
 
     p_verify = sub.add_parser("verify", help="run and check a convergence bound")
-    _add_config_arg(p_verify, "verify")
+    _add_config_arg(p_verify)
     p_verify.add_argument("--item", required=True,
                           help=f"bound to check: {', '.join(VERIFY_ITEMS)}")
     p_verify.add_argument("--reuse", default=None,
@@ -565,12 +542,6 @@ def main(argv=None) -> int:
     p_export.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
     args = parser.parse_args(argv)
-    if args.command in ("run", "verify"):
-        try:
-            _resolve_preset(args)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     handler = {"run": cmd_run, "verify": cmd_verify,
                "certify": cmd_certify, "export": cmd_export}[args.command]
     return handler(args)

@@ -26,8 +26,7 @@ on a metrics CSV reproduces its report bit-for-bit.  Where a bound speaks
 about a randomly selected output iterate, the verifier evaluates the exact
 expectation of the selection rule (a weighted average over the recorded
 trajectory) instead of sampling, which is the same quantity with zero added
-Monte-Carlo noise; :func:`select_output` remains available for actually
-drawing an output point.
+Monte-Carlo noise.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,17 +64,15 @@ from .objectives import (
     make_tiny_mlp,
     stochastic_gradient,
 )
-from .vectors import ParamVector, StreamPurpose, derive_stream, stream_keys
+from .vectors import StreamPurpose, derive_stream, stream_keys
 
 __all__ = [
     "ObjectiveConfig",
     "RunConfig",
     "RoundMetrics",
     "SeedResult",
-    "OutputRule",
     "build_objective",
     "run",
-    "select_output",
     "locate_optimum",
     "theorem1_precheck",
     "theorem2_precheck",
@@ -100,12 +96,6 @@ CSV_COLUMNS = [
     "err_mean_sq", "err_norm", "uplink_bits", "downlink_bits",
     "cum_uplink_bits", "cum_downlink_bits", "cum_total_bits",
 ]
-
-
-class OutputRule(str, Enum):
-    LAST = "last"
-    UNIFORM_RANDOM = "uniform"
-    GEOMETRIC_WEIGHTED = "geometric"
 
 
 @dataclass(frozen=True)
@@ -140,13 +130,11 @@ def build_objective(ocfg: ObjectiveConfig) -> FederatedObjective:
         if ocfg.centers == "axis_pair":
             if ocfg.clients != 2:
                 raise ValueError("axis_pair centers require exactly 2 clients")
-            c2 = np.zeros(ocfg.d)
-            c2[0] = ocfg.separation
-            centers = [ParamVector(np.zeros(ocfg.d)), ParamVector(c2)]
+            centers = np.zeros((2, ocfg.d))
+            centers[1, 0] = ocfg.separation
         elif ocfg.centers == "random":
             rng = derive_stream(ocfg.data_seed, ocfg.clients, 0, StreamPurpose.DATA_SHUFFLE)
-            centers = [ParamVector(rng.normals(ocfg.d) * ocfg.center_scale)
-                       for _ in range(ocfg.clients)]
+            centers = [rng.normals(ocfg.d) * ocfg.center_scale for _ in range(ocfg.clients)]
         else:
             raise ValueError(f"unknown centers mode {ocfg.centers!r}")
         return make_quadratic(ocfg.clients, ocfg.d, centers)
@@ -165,12 +153,10 @@ class RunConfig:
     rounds: int = 100
     seeds: Tuple[int, ...] = (0,)
     cadence: int = 1
-    output_rule: OutputRule = OutputRule.LAST
     cost_model: CostModel = DEFAULT_COST_MODEL
     divergence_threshold: float = DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
-        object.__setattr__(self, "output_rule", OutputRule(self.output_rule))
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if not self.seeds:
@@ -212,7 +198,7 @@ def _metrics_row(obj, t, w_arr, clients, up_bits, down_bits, cum_up,
     loss_gap = None if obj.f_star is None else loss - obj.f_star
     dist = None
     if obj.w_star is not None:
-        diff = w_arr - obj.w_star.values
+        diff = w_arr - obj.w_star
         dist = float(diff @ diff)
     err_mean_sq = err_norm = None
     if clients.error is not None:
@@ -304,44 +290,16 @@ def run(config: RunConfig, jobs: int = 1,
 
 # --- output-point selection --------------------------------------------------
 
-def _selection_weights(n: int, rule: OutputRule, eta=None, mu=None) -> np.ndarray:
-    if rule is OutputRule.LAST:
-        w = np.zeros(n)
-        w[-1] = 1.0
-        return w
-    if rule is OutputRule.UNIFORM_RANDOM:
-        return np.full(n, 1.0 / n)
-    if mu is None or mu <= 0.0:
-        raise ValueError("geometric selection requires mu > 0")
-    if eta is None or eta <= 0.0:
-        raise ValueError("geometric selection requires eta > 0")
+def _geometric_weights(n: int, eta: float, mu: float) -> np.ndarray:
+    """Probabilities of the geometric output rule over iterates ``0..n-1``."""
+    if not (eta > 0.0 and mu > 0.0):
+        raise ValueError("geometric selection requires eta > 0 and mu > 0")
     # weights (1 - eta*mu/2)^{-t}, normalized in log space
     log_r = -math.log1p(-eta * mu / 2.0)
     logw = log_r * np.arange(n)
     logw -= logw.max()
     w = np.exp(logw)
     return w / w.sum()
-
-
-def select_output(trajectory: Sequence, rule: OutputRule, eta: Optional[float] = None,
-                  mu: Optional[float] = None, rng=None) -> ParamVector:
-    """Pick the output iterate from a trajectory per the named rule."""
-    if len(trajectory) == 0:
-        raise ValueError("trajectory must be non-empty")
-    rule = OutputRule(rule)
-    weights = _selection_weights(len(trajectory), rule, eta, mu)
-    if rule is OutputRule.LAST:
-        idx = len(trajectory) - 1
-    else:
-        if rng is None:
-            raise ValueError("random selection rules need an rng stream")
-        u = float(rng.uniforms(1)[0])
-        idx = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-        idx = min(idx, len(trajectory) - 1)
-    point = trajectory[idx]
-    if isinstance(point, ParamVector):
-        return point
-    return ParamVector(np.asarray(point, dtype=np.float64), copy=True)
 
 
 def locate_optimum(obj: FederatedObjective, tol: float = 1e-12):
@@ -452,7 +410,7 @@ def _gather_constants(obj, cfg: RunConfig, need_w_star: bool, need_f_star: bool)
     caveats = []
     if not obj.ab_certified:
         caveats.append("(a, b) are empirical probe-grid estimates, not analytic")
-    w_star = None if obj.w_star is None else obj.w_star.values
+    w_star = obj.w_star
     f_star = obj.f_star
     if (need_w_star and w_star is None) or (need_f_star and f_star is None):
         w_hat, f_hat = locate_optimum(obj)
@@ -635,7 +593,7 @@ def verify_theorem2(item: int, results: Sequence[SeedResult], obj: FederatedObje
 
     if item == 1:
         T = gaps.shape[1] - 1
-        weights = _selection_weights(T + 1, OutputRule.GEOMETRIC_WEIGHTED, eta, mu)
+        weights = _geometric_weights(T + 1, eta, mu)
         per_seed = gaps @ weights    # exact expectation over the selection rule
         lhs = float(per_seed.mean())
         se = float(_seed_stderr(per_seed))

@@ -26,24 +26,21 @@ rows of an ``(M, d)`` array (``w - C`` in one operation for quadratic, one
 :func:`stochastic_gradient` adds the clients' noise rows to it.
 
 ``FederatedObjective.loss_grad`` returns the loss and the mean gradient from
-one forward pass per client.  It folds them exactly as ``loss`` (``sum`` of
-the client losses, then ``/ M``) and ``grad`` (the left fold
-``g_0 + g_1 + ...``, then ``/ M``) do, so its results are bit-equal to the
-two separate calls.
+one forward pass per client, folded in a fixed order: ``sum`` of the client
+losses, then ``/ M``, and the left fold ``g_0 + g_1 + ...``, then ``/ M``.
 """
 
 from __future__ import annotations
 
-import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import backend
-from .vectors import ParamVector, StreamPurpose, derive_stream
+from .vectors import StreamPurpose, derive_stream
 
 __all__ = [
     "ObjectiveKind",
@@ -54,13 +51,7 @@ __all__ = [
     "make_logistic",
     "make_tiny_mlp",
     "stochastic_gradient",
-    "verify_h2",
-    "H2Report",
-    "save_dataset",
-    "load_dataset",
 ]
-
-_DATASET_MAGIC = b"FDS1"
 
 # Byte budget of the noise rows one kernel call draws: a wide model draws a
 # few rows at a time, so the kernel's temporaries never span all M clients.
@@ -128,22 +119,18 @@ class FederatedObjective(ABC):
     L: float
     a: float
     b: float
-    w_star: Optional[ParamVector]
+    w_star: Optional[np.ndarray]
     f_star: Optional[float]
-    f_lower: Optional[float]
     ab_certified: bool
     L_certified: bool
     layer_partition = None
 
     @abstractmethod
-    def _client_loss(self, client_id: int, w: np.ndarray) -> float: ...
-
-    @abstractmethod
     def _client_grad(self, client_id: int, w: np.ndarray) -> np.ndarray: ...
 
+    @abstractmethod
     def _client_loss_grad(self, client_id: int, w: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Loss and gradient of one client; subclasses share the forward pass."""
-        return self._client_loss(client_id, w), self._client_grad(client_id, w)
+        """Loss and gradient of one client from one forward pass."""
 
     def client_grads(self, w: np.ndarray) -> np.ndarray:
         """Every client's gradient at ``w``, as the rows of an ``(M, d)`` array."""
@@ -152,21 +139,9 @@ class FederatedObjective(ABC):
             out[i] = self._client_grad(i, w)
         return out
 
-    def client_grad(self, client_id: int, w: ParamVector) -> ParamVector:
-        self._check_client(client_id)
-        return ParamVector(self._client_grad(client_id, w.values),
-                           self.layer_partition, copy=False)
-
-    def loss(self, w: ParamVector) -> float:
-        return sum(self._client_loss(i, w.values) for i in range(self.M)) / self.M
-
-    def grad(self, w: ParamVector) -> ParamVector:
-        acc = self._grad_mean(w.values)
-        return ParamVector(acc, self.layer_partition, copy=False)
-
     def loss_grad(self, w: np.ndarray) -> Tuple[float, np.ndarray]:
-        """``(loss(w), grad(w).values)`` at the array ``w``, bit-equal, one
-        forward pass per client."""
+        """``(f(w), grad f(w))``, one forward pass per client (see the module
+        docstring for the order of the folds)."""
         losses = []
         acc = None
         for i in range(self.M):
@@ -189,10 +164,6 @@ class FederatedObjective(ABC):
             acc = g if acc is None else acc + g
         return np.mean(sq), acc / self.M
 
-    def _check_client(self, client_id: int):
-        if not 0 <= client_id < self.M:
-            raise ValueError(f"client_id {client_id} out of range for M={self.M}")
-
 
 class QuadraticObjective(FederatedObjective):
     kind = ObjectiveKind.QUADRATIC
@@ -205,18 +176,17 @@ class QuadraticObjective(FederatedObjective):
         self.L = 1.0
         self.a = float(np.mean(np.sum((centers - cbar) ** 2, axis=1)))
         self.b = 1.0
-        self.w_star = ParamVector(cbar, copy=True)
+        self.w_star = cbar
         self.f_star = 0.5 * self.a
-        self.f_lower = 0.0
         self.ab_certified = True
         self.L_certified = True
 
-    def _client_loss(self, i, w):
-        diff = w - self.centers[i]
-        return 0.5 * float(diff @ diff)
-
     def _client_grad(self, i, w):
         return w - self.centers[i]
+
+    def _client_loss_grad(self, i, w):
+        diff = w - self.centers[i]
+        return 0.5 * float(diff @ diff), diff
 
     def client_grads(self, w):
         return w - self.centers
@@ -236,7 +206,6 @@ class LogisticObjective(FederatedObjective):
         self.L_certified = True
         self.w_star = None
         self.f_star = None
-        self.f_lower = 0.0
         self.b = 2.0
         self.a = 0.0          # filled by _estimate_dissimilarity
         self.ab_certified = False
@@ -260,10 +229,6 @@ class LogisticObjective(FederatedObjective):
         floor = max(lo for lo, _ in ends) if np.isfinite(ends).all() else -np.inf
         return max(top(X.T @ X) / (4 * len(X))
                    for X, (_, hi) in zip(features, ends) if not hi < floor)
-
-    def _client_loss(self, i, w):
-        X, y = self.features[i], self.labels[i]
-        return self._loss_from_margins((X @ w) * y, w)
 
     def _client_grad(self, i, w):
         X, y = self.features[i], self.labels[i]
@@ -335,7 +300,6 @@ class TinyMlpObjective(FederatedObjective):
         self.mu = 0.0
         self.w_star = None
         self.f_star = None
-        self.f_lower = 0.0
         self.b = 2.0
         self.a = 0.0
         self.ab_certified = False
@@ -357,9 +321,6 @@ class TinyMlpObjective(FederatedObjective):
 
     def _loss_from_pred(self, i, pred):
         return 0.5 * float(np.mean((pred - self.targets[i]) ** 2))
-
-    def _client_loss(self, i, w):
-        return self._loss_from_pred(i, self._forward(i, w)[1])
 
     def _client_grad(self, i, w):
         return self._backward(i, w, *self._forward(i, w))
@@ -394,16 +355,18 @@ class TinyMlpObjective(FederatedObjective):
         return worst * 1.25
 
 
-def make_quadratic(M: int, d: int, centers: Sequence[ParamVector]) -> QuadraticObjective:
-    """Shifted-quadratic suite ``f_i(w) = 0.5 ||w - c_i||^2``."""
-    if not centers:
+def make_quadratic(M: int, d: int, centers) -> QuadraticObjective:
+    """Shifted-quadratic suite ``f_i(w) = 0.5 ||w - c_i||^2``; ``centers`` is
+    array-like, one row ``c_i`` per client."""
+    arr = np.array(centers, dtype=np.float64)
+    if len(arr) == 0:
         raise ValueError("need at least one center")
-    if len(centers) != M:
-        raise ValueError(f"expected {M} centers, got {len(centers)}")
-    arr = np.stack([c.values if isinstance(c, ParamVector) else np.asarray(c, float)
-                    for c in centers])
-    if arr.shape[1] != d:
-        raise ValueError(f"centers have dimension {arr.shape[1]}, expected {d}")
+    if len(arr) != M:
+        raise ValueError(f"expected {M} centers, got {len(arr)}")
+    if arr.shape[1:] != (d,):
+        raise ValueError(f"centers have shape {arr.shape[1:]}, expected ({d},)")
+    if not np.isfinite(arr).all():
+        raise ValueError("quadratic centers must be finite")
     return QuadraticObjective(arr)
 
 
@@ -465,50 +428,3 @@ def stochastic_gradient(obj: FederatedObjective, w: np.ndarray, noise: NoiseMode
         for lo in range(0, obj.M, block):
             g[lo:lo + block] += noise.draw(obj.d, keys[lo:lo + block])
     return g
-
-
-@dataclass(frozen=True)
-class H2Report:
-    max_violation: float
-    worst_point: int
-
-
-def verify_h2(obj: FederatedObjective, probe_points: Sequence[ParamVector]) -> H2Report:
-    """Largest excess of mean-client gradient energy over ``a + b ||grad f||^2``."""
-    worst = -np.inf
-    worst_idx = -1
-    for idx, p in enumerate(probe_points):
-        arr = p.values if isinstance(p, ParamVector) else np.asarray(p, float)
-        mean_sq, gbar = obj._probe(arr)
-        violation = mean_sq - (obj.a + obj.b * float(gbar @ gbar))
-        if violation > worst:
-            worst, worst_idx = violation, idx
-    return H2Report(float(worst), worst_idx)
-
-
-def save_dataset(path, features: np.ndarray, labels: np.ndarray):
-    """Columnar binary dump: magic, d, n, float64 rows, int8 labels."""
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if features.ndim != 2 or labels.shape != (features.shape[0],):
-        raise ValueError("features must be (n, d) with one label per row")
-    lab8 = labels.astype(np.int8)
-    if not np.array_equal(lab8.astype(labels.dtype), labels):
-        raise ValueError("labels must fit in int8")
-    n, d = features.shape
-    with open(path, "wb") as fh:
-        fh.write(_DATASET_MAGIC)
-        fh.write(struct.pack("<II", d, n))
-        fh.write(features.astype("<f8").tobytes())
-        fh.write(lab8.tobytes())
-
-
-def load_dataset(path) -> Tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DATASET_MAGIC:
-            raise ValueError(f"bad dataset magic {magic!r}")
-        d, n = struct.unpack("<II", fh.read(8))
-        features = np.frombuffer(fh.read(8 * n * d), dtype="<f8").reshape(n, d).copy()
-        labels = np.frombuffer(fh.read(n), dtype=np.int8).copy()
-    return features, labels

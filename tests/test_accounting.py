@@ -19,7 +19,7 @@ from fedproj.compressors import (
     compress,
     decode,
 )
-from fedproj.vectors import ParamVector, StreamPurpose, stream_keys
+from fedproj.vectors import StreamPurpose, stream_keys
 
 
 def stream(r=0):
@@ -99,10 +99,10 @@ class TestDownlink:
         rng = np.random.default_rng(1)
         d, M, kf = 40, 5, 0.1
         spec = CompressorSpec(CompressorKind.TOPK, k_fraction=kf)
-        w = ParamVector(rng.standard_normal(d))
+        w = rng.standard_normal(d)
         msg = compress(spec, rng.standard_normal((M, d)))
         update = np.mean(decode(msg), axis=0)
-        w_next = w.values - 0.5 * update
+        w_next = w - 0.5 * update
         assert changed_coordinates(w, w_next) <= min(d, M * 4)
 
     def test_dimension_mismatch(self):

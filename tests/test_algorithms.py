@@ -17,7 +17,7 @@ from fedproj.algorithms import (
 )
 from fedproj.compressors import CompressorKind, CompressorSpec, compress, decode
 from fedproj.objectives import NoiseModel, make_quadratic, stochastic_gradient
-from fedproj.vectors import ParamVector, StreamPurpose, stream_keys
+from fedproj.vectors import StreamPurpose, stream_keys
 
 IDENTITY = CompressorSpec(CompressorKind.IDENTITY)
 TOPK_HALF = CompressorSpec(CompressorKind.TOPK, k_fraction=0.5)
@@ -31,7 +31,7 @@ def cfg_for(kind, eta=0.5, compressor=IDENTITY, **kw):
 def quadratic_pair(d=2):
     c2 = np.zeros(d)
     c2[0] = 2.0
-    return make_quadratic(2, d, [ParamVector(np.zeros(d)), ParamVector(c2)])
+    return make_quadratic(2, d, [np.zeros(d), c2])
 
 
 def keys(seed, obj, t, purpose):
@@ -187,10 +187,6 @@ class TestClientRound:
         tb, _, _ = drive(cfg_b, obj, 30, seed=3, sigma=0.3)
         assert np.array_equal(ta, tb)
 
-    def test_nonfinite_gradient_rejected(self):
-        with pytest.raises(ValueError):
-            ParamVector([np.nan, 0.0])
-
     def test_rows_match_single_client_runs(self):
         """A client's row evolves as it would in an engine of its own."""
         cfg = cfg_for(AlgorithmKind.PROJFL_EF, eta=0.1, compressor=TOPK_HALF, K=2)
@@ -236,7 +232,7 @@ class TestServerRound:
     @pytest.mark.parametrize("kind, array", [(AlgorithmKind.PROJFL_EF, "history"),
                                              (AlgorithmKind.EF21, "direction")])
     def test_mirror_desync_names_seed_round_client_and_array(self, kind, array):
-        obj = make_quadratic(4, 3, [ParamVector(np.full(3, float(i))) for i in range(4)])
+        obj = make_quadratic(4, 3, [np.full(3, float(i)) for i in range(4)])
         cfg = cfg_for(kind, eta=0.1, compressor=TOPK_HALF)
         _, server, clients = drive(cfg, obj, 3, seed=5, sigma=0.2)
         state = clients.history.buf[0] if array == "history" else clients.direction
@@ -267,7 +263,7 @@ class TestReductionLadder:
         obj = quadratic_pair()
         cfg = cfg_for(AlgorithmKind.PROJFL, eta=0.5)
         traj, _, _ = drive(cfg, obj, 100)
-        w_star = obj.w_star.values
+        w_star = obj.w_star
         d0 = np.linalg.norm(traj[0] - w_star)
         for t in (1, 5, 20, 100):
             assert np.linalg.norm(traj[t] - w_star) == pytest.approx(0.5 ** t * d0, abs=1e-10)

@@ -54,6 +54,10 @@ class TestObjectiveBuild:
         (["run"], dict(dim=0), "d must be >= 1"),
         (["run"], dict(objective="logistic", dim=0), "d must be >= 1"),
         (["run"], dict(objective="tiny_mlp", d_in=0), "d_in must be >= 1"),
+        (["run"], dict(centers="random", clients=3, center_scale="inf"), "must be finite"),
+        (["run"], dict(separation="nan"), "must be finite"),
+        (["verify", "--item", "t1.1"], dict(centers="random", clients=3, center_scale="inf"),
+         "must be finite"),
     ])
     def test_bad_objective_is_one_line_exit_1(self, tmp_path, capsys, command, values,
                                               message):
@@ -108,7 +112,55 @@ class TestDefinedExits:
         assert [s["diverged_at"] for s in summary["per_seed"]] == [2, 2]
 
     @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.1"]])
-    def test_missing_preset_is_one_line_exit_1(self, tmp_path, capsys, command):
-        argv = [command[0], "preset:x", *command[1:], "--out", str(tmp_path)]
+    def test_missing_config_is_one_line_exit_1(self, tmp_path, capsys, command):
+        missing = tmp_path / "absent.cfg"
+        argv = [command[0], str(missing), *command[1:], "--out", str(tmp_path)]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: no preset 'x': no presets are bundled\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+
+
+class TestConfigErrors:
+    """Each config error names ``path:line``, is one line, and exits 1."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("rounds 3", "expected 'key = value'"),
+        ("round = 3", "unknown key 'round'"),
+        ("eta = 0.2", "duplicate key 'eta'"),
+        ("rounds = three", "bad value for rounds"),
+        ("output_rule = last", "unknown key 'output_rule'"),
+    ])
+    @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.1"]])
+    def test_error_names_path_and_line(self, tmp_path, capsys, command, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"name = c\n# a comment\neta = 0.1\n\n{line}\n")
+        argv = [command[0], str(cfg), *command[1:], "--out", str(tmp_path), "--jobs", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:5: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "c").exists()
+
+
+class TestReproduction:
+    CFG = dict(name="c", dim=6, clients=3, centers="random", algorithm="projfl_ef",
+               compressor="topk", k_fraction=0.5, eta=0.05, sigma=0.2, rounds=6,
+               seeds="0:2")
+
+    def test_rerun_of_effective_config_is_byte_identical(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", **self.CFG)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", str(cfg), "--out", str(first), "--jobs", "1"]) == 0
+        effective = first / "c" / "effective_config.cfg"
+        assert main(["run", str(effective), "--out", str(second), "--jobs", "1"]) == 0
+        for name in ("metrics.csv", "effective_config.cfg"):
+            assert (second / "c" / name).read_bytes() == (first / "c" / name).read_bytes()
+
+    def test_verify_reuse_rewrites_the_same_report(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", **self.CFG)
+        argv = ["verify", str(cfg), "--item", "lemmaA1", "--jobs", "1"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        report = (tmp_path / "a" / "c" / "report_lemmaA1.json").read_bytes()
+        metrics = tmp_path / "a" / "c" / "metrics.csv"
+        assert main(argv + ["--out", str(tmp_path / "b"), "--reuse", str(metrics)]) == 0
+        assert (tmp_path / "b" / "c" / "report_lemmaA1.json").read_bytes() == report
+        assert not (tmp_path / "b" / "c" / "metrics.csv").exists()

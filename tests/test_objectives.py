@@ -2,18 +2,14 @@ import numpy as np
 import pytest
 
 from fedproj.objectives import (
-    H2Report,
     NoiseKind,
     NoiseModel,
-    load_dataset,
     make_logistic,
     make_quadratic,
     make_tiny_mlp,
-    save_dataset,
     stochastic_gradient,
-    verify_h2,
 )
-from fedproj.vectors import ParamVector, StreamPurpose, stream_keys
+from fedproj.vectors import StreamPurpose, stream_keys
 
 
 def central_difference(loss_fn, w: np.ndarray, step=1e-5) -> np.ndarray:
@@ -29,65 +25,81 @@ def central_difference(loss_fn, w: np.ndarray, step=1e-5) -> np.ndarray:
 def check_gradients(obj, points, rel=1e-5):
     for w in points:
         for i in range(obj.M):
-            num = central_difference(lambda x: obj._client_loss(i, x), w)
+            num = central_difference(lambda x: obj._client_loss_grad(i, x)[0], w)
             ana = obj._client_grad(i, w)
             scale = max(np.linalg.norm(num), 1e-8)
             assert np.linalg.norm(ana - num) / scale <= rel
 
 
 def two_point_quadratic(d=2, gap=2.0):
-    c1 = ParamVector(np.zeros(d))
-    arr = np.zeros(d)
-    arr[0] = gap
-    return make_quadratic(2, d, [c1, ParamVector(arr)])
+    centers = np.zeros((2, d))
+    centers[1, 0] = gap
+    return make_quadratic(2, d, centers)
+
+
+def max_h2_violation(obj, points):
+    """Largest excess of mean client gradient energy over ``a + b ||grad f||^2``."""
+    worst = -np.inf
+    for p in points:
+        mean_sq, gbar = obj._probe(p)
+        worst = max(worst, mean_sq - (obj.a + obj.b * float(gbar @ gbar)))
+    return worst
 
 
 class TestQuadratic:
     def test_canonical_constants(self):
         obj = two_point_quadratic()
-        assert obj.w_star.values.tolist() == [1.0, 0.0]
+        assert obj.w_star.tolist() == [1.0, 0.0]
         assert obj.a == 1.0 and obj.b == 1.0
         assert obj.mu == obj.L == 1.0
         assert obj.f_star == 0.5
 
     def test_single_client_homogeneous(self):
-        obj = make_quadratic(1, 2, [ParamVector([0.0, 0.0])])
+        obj = make_quadratic(1, 2, [[0.0, 0.0]])
         assert obj.a == 0.0
-        assert obj.w_star.values.tolist() == [0.0, 0.0]
+        assert obj.w_star.tolist() == [0.0, 0.0]
 
     def test_gradient_is_linear(self):
         obj = two_point_quadratic()
         rng = np.random.default_rng(0)
         for _ in range(10):
             w = rng.standard_normal(2)
-            assert np.allclose(obj._grad_mean(w), w - obj.w_star.values)
+            assert np.allclose(obj._grad_mean(w), w - obj.w_star)
 
     def test_loss_gap_is_half_square_distance(self):
         obj = two_point_quadratic()
         rng = np.random.default_rng(1)
         for _ in range(20):
-            w = ParamVector(rng.standard_normal(2) * 3)
-            gap = obj.loss(w) - obj.f_star
-            diff = w.values - obj.w_star.values
+            w = rng.standard_normal(2) * 3
+            gap = obj.loss_grad(w)[0] - obj.f_star
+            diff = w - obj.w_star
             assert gap == pytest.approx(0.5 * float(diff @ diff), rel=1e-12)
 
     def test_h2_identity_at_100_points(self):
         obj = two_point_quadratic()
         rng = np.random.default_rng(2)
-        pts = [ParamVector(rng.standard_normal(2) * 5) for _ in range(100)]
-        report = verify_h2(obj, pts)
-        assert abs(report.max_violation) <= 1e-9
+        pts = [rng.standard_normal(2) * 5 for _ in range(100)]
+        assert abs(max_h2_violation(obj, pts)) <= 1e-9
 
     def test_h2_tight_at_optimum(self):
         obj = two_point_quadratic()
-        mean_sq = np.mean([float(obj._client_grad(i, obj.w_star.values) @
-                                 obj._client_grad(i, obj.w_star.values))
-                           for i in range(2)])
+        mean_sq, _ = obj._probe(obj.w_star)
         assert mean_sq == pytest.approx(obj.a, rel=1e-12)
 
     def test_empty_centers(self):
         with pytest.raises(ValueError):
             make_quadratic(0, 2, [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_centers_rejected(self, bad):
+        with pytest.raises(ValueError, match="centers must be finite"):
+            make_quadratic(2, 2, [[0.0, 0.0], [bad, 1.0]])
+
+    def test_centers_shape_checked(self):
+        with pytest.raises(ValueError, match="expected 3 centers"):
+            make_quadratic(3, 2, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="expected \\(2,\\)"):
+            make_quadratic(2, 2, np.zeros((2, 3)))
 
 
 @pytest.fixture(scope="module")
@@ -129,17 +141,15 @@ class TestLogistic:
 
     def test_h2_on_probe_grid(self, obj):
         rng = np.random.default_rng(5)
-        pts = [ParamVector(rng.standard_normal(8) * s) for s in (0.1, 0.5, 1.0) for _ in range(20)]
-        report = verify_h2(obj, pts)
-        assert report.max_violation <= 1e-9  # a was fitted with headroom
+        pts = [rng.standard_normal(8) * s for s in (0.1, 0.5, 1.0) for _ in range(20)]
+        assert max_h2_violation(obj, pts) <= 1e-9  # a was fitted with headroom
 
     def test_prop_gradient_energy_bound(self, obj):
         """||grad f(x)||^2 <= 2 L f(x) for the nonnegative logistic loss."""
         rng = np.random.default_rng(6)
         for _ in range(200):
-            w = ParamVector(rng.standard_normal(8))
-            g = obj.grad(w)
-            assert float(g.values @ g.values) <= 2 * obj.L * obj.loss(w) + 1e-9
+            loss, g = obj.loss_grad(rng.standard_normal(8))
+            assert float(g @ g) <= 2 * obj.L * loss + 1e-9
 
     @pytest.mark.parametrize("M, d, n, het", [
         (6, 40, 8, 0.5), (6, 40, 8, 0.0), (4, 30, 30, 0.5), (4, 12, 20, 0.5),
@@ -191,7 +201,8 @@ class TestTinyMlp:
         y = np.zeros(4)
         obj = TinyMlpObjective([X], [y], d_in=3, hidden=2)
         w = np.zeros(obj.d)
-        assert obj._client_loss(0, w) == 0.0
+        loss, g = obj._client_loss_grad(0, w)
+        assert loss == 0.0 and np.all(g == 0.0)
         assert np.all(obj._client_grad(0, w) == 0.0)
 
     def test_gradient_finite_difference(self, obj):
@@ -202,8 +213,7 @@ class TestTinyMlp:
     def test_loss_nonnegative(self, obj):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            w = ParamVector(rng.standard_normal(obj.d))
-            assert obj.loss(w) >= 0.0
+            assert obj.loss_grad(rng.standard_normal(obj.d))[0] >= 0.0
 
     def test_layer_partition_covers(self, obj):
         spans = obj.layer_partition
@@ -212,11 +222,12 @@ class TestTinyMlp:
 
     def test_flags(self, obj):
         assert not obj.L_certified and not obj.ab_certified
-        assert obj.mu == 0.0 and obj.f_lower == 0.0
+        assert obj.mu == 0.0 and obj.w_star is None and obj.f_star is None
 
 
 class TestFusedLossGrad:
-    """``loss_grad`` is bit-equal to ``loss`` and ``grad`` called separately."""
+    """``loss_grad`` folds the clients in a fixed order: ``sum`` of the losses,
+    then ``/ M``; the left fold of the gradients, then ``/ M``."""
 
     @pytest.fixture(params=["quadratic", "logistic", "tiny_mlp"])
     def obj(self, request, logistic_obj, mlp_obj):
@@ -229,11 +240,15 @@ class TestFusedLossGrad:
         rng = np.random.default_rng(13)
         points = [np.zeros(obj.d)] + [rng.standard_normal(obj.d) * s
                                       for s in (0.1, 1.0, 5.0) for _ in range(4)]
-        for arr in points:
-            w = ParamVector(arr, obj.layer_partition)
-            loss, grad = obj.loss_grad(arr)
-            assert loss == obj.loss(w)
-            assert np.array_equal(grad, obj.grad(w).values)
+        for w in points:
+            parts = [obj._client_loss_grad(i, w) for i in range(obj.M)]
+            acc = parts[0][1]
+            for _, g in parts[1:]:
+                acc = acc + g
+            loss, grad = obj.loss_grad(w)
+            assert loss == sum(part[0] for part in parts) / obj.M
+            assert np.array_equal(grad, acc / obj.M)
+            assert np.array_equal(grad, obj._grad_mean(w))
 
     def test_client_grads_rows_equal_client_grad(self, obj):
         rng = np.random.default_rng(14)
@@ -241,7 +256,8 @@ class TestFusedLossGrad:
             rows = obj.client_grads(arr)
             assert rows.shape == (obj.M, obj.d)
             for i in range(obj.M):
-                assert np.array_equal(rows[i], obj.client_grad(i, ParamVector(arr)).values)
+                assert np.array_equal(rows[i], obj._client_grad(i, arr))
+                assert np.array_equal(rows[i], obj._client_loss_grad(i, arr)[1])
 
 
 def noise_keys(seed, obj, round_index=0):
@@ -308,31 +324,3 @@ class TestStochasticGradient:
         assert np.array_equal(stochastic_gradient(obj, np.ones(7), noise, noise_keys(3, obj)),
                               whole)
 
-
-class TestDatasetIO:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((7, 3))
-        y = np.array([1, -1, 1, 1, -1, -1, 1], dtype=np.int8)
-        path = tmp_path / "client0.bin"
-        save_dataset(path, X, y)
-        X2, y2 = load_dataset(path)
-        assert np.array_equal(X, X2)
-        assert np.array_equal(y, y2)
-
-    def test_reproducible_bytes(self, tmp_path):
-        obj = make_logistic(M=2, d=4, seed=5, samples_per_client=6, ridge=0.0)
-        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_dataset(p1, obj.features[0], obj.labels[0].astype(np.int8))
-        save_dataset(p2, obj.features[0], obj.labels[0].astype(np.int8))
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            load_dataset(path)
-
-    def test_label_overflow(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_dataset(tmp_path / "x.bin", np.zeros((1, 2)), np.array([300]))

@@ -1,99 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from fedproj.vectors import (
-    DimensionMismatch,
-    ParamVector,
-    StreamPurpose,
-    axpy,
-    derive_stream,
-    dot,
-)
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
-def vec_strategy(n):
-    return arrays(np.float64, n, elements=finite_floats)
-
-
-class TestParamVector:
-    def test_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError):
-            ParamVector([1.0, np.nan])
-        with pytest.raises(ValueError):
-            ParamVector([np.inf, 0.0])
-
-    def test_immutable(self):
-        v = ParamVector([1.0, 2.0])
-        with pytest.raises((ValueError, AttributeError)):
-            v.values[0] = 5.0
-
-    def test_partition_validation(self):
-        ParamVector(np.zeros(6), [(0, 2), (2, 6)])
-        with pytest.raises(ValueError):
-            ParamVector(np.zeros(6), [(0, 2), (3, 6)])  # gap
-        with pytest.raises(ValueError):
-            ParamVector(np.zeros(6), [(0, 4), (2, 6)])  # overlap / unsorted
-        with pytest.raises(ValueError):
-            ParamVector(np.zeros(6), [(0, 2)])  # does not cover
-
-    def test_layers_default(self):
-        assert ParamVector(np.zeros(4)).layers() == ((0, 4),)
-
-
-class TestDotAxpy:
-    def test_orthogonal_basis(self):
-        assert dot(ParamVector([1, 0]), ParamVector([0, 1])) == 0.0
-
-    def test_squared_norm(self):
-        assert dot(ParamVector([2, 3]), ParamVector([2, 3])) == 13.0
-
-    def test_self_dot_nonnegative(self):
-        rng = np.random.default_rng(0)
-        v = ParamVector(rng.standard_normal(50))
-        assert dot(v, v) >= 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            dot(ParamVector([1.0]), ParamVector([1.0, 2.0]))
-        with pytest.raises(DimensionMismatch):
-            axpy(1.0, ParamVector([1.0]), ParamVector([1.0, 2.0]))
-
-    def test_axpy_zero_scale(self):
-        x, y = ParamVector([1, 2]), ParamVector([3, 4])
-        assert np.array_equal(axpy(0.0, x, y).values, y.values)
-
-    def test_axpy_identity(self):
-        x = ParamVector([1.5, -2.5])
-        out = axpy(1.0, x, ParamVector.zeros(2))
-        assert np.array_equal(out.values, x.values)
-
-    def test_axpy_cancellation(self):
-        x = ParamVector([3.0, -7.0])
-        assert np.all(axpy(-1.0, x, x).values == 0.0)
-
-    def test_axpy_nonfinite_scale(self):
-        with pytest.raises(ValueError):
-            axpy(np.inf, ParamVector([1.0]), ParamVector([1.0]))
-
-    @given(a=vec_strategy(17), b=vec_strategy(17))
-    @settings(max_examples=60, deadline=None)
-    def test_dot_matches_loop_reference(self, a, b):
-        ref = sum(float(x) * float(y) for x, y in zip(a, b))
-        got = dot(ParamVector(a), ParamVector(b))
-        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-    @given(alpha=finite_floats, x=vec_strategy(11), y=vec_strategy(11))
-    @settings(max_examples=60, deadline=None)
-    def test_axpy_matches_loop_reference(self, alpha, x, y):
-        ref = np.array([alpha * float(xv) + float(yv) for xv, yv in zip(x, y)])
-        got = axpy(alpha, ParamVector(x), ParamVector(y)).values
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+from fedproj import backend
+from fedproj.compressors import k_eff
+from fedproj.vectors import StreamPurpose, derive_stream, stream_keys
 
 
 class TestStreams:
@@ -142,17 +55,20 @@ class TestStreams:
         assert abs(z.var() - 1.0) < 0.02
 
     def test_subset_uniform_and_sorted(self):
-        counts = np.zeros(6)
-        for r in range(4000):
-            s = derive_stream(7, 0, r, StreamPurpose.COMPRESSOR).subset(6, 2)
-            assert s[0] < s[1] < 6
-            counts[s] += 1
+        keys = stream_keys(7, 0, np.arange(4000), StreamPurpose.COMPRESSOR)
+        subsets = backend.stream_subset(keys, 0, 6, 2)
+        assert np.all(subsets[:, 0] < subsets[:, 1]) and subsets.max() < 6
+        counts = np.bincount(subsets.ravel(), minlength=6)
         _, p = stats.chisquare(counts)
         assert p > 1e-3
 
-    def test_subset_bounds(self):
-        with pytest.raises(ValueError):
-            derive_stream(1, 0, 0, StreamPurpose.COMPRESSOR).subset(4, 5)
+    @given(k_fraction=st.floats(min_value=1e-9, max_value=1.0), pop=st.integers(1, 1000))
+    def test_subset_bounds(self, k_fraction, pop):
+        """Every subset size the compressors ask for lies in ``[1, pop]``."""
+        k = k_eff(k_fraction, pop)
+        assert 1 <= k <= pop
+        row = backend.stream_subset(stream_keys(1, 0, 0, StreamPurpose.COMPRESSOR), 0, pop, k)
+        assert row.shape == (1, k) and len(np.unique(row)) == k
 
     def test_negative_ids_rejected(self):
         with pytest.raises(ValueError):

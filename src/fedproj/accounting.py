@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "message_bits",
     "downlink_bits",
     "changed_coordinates",
-    "TrafficLedger",
     "serialize_message",
     "deserialize_message",
 ]
@@ -112,32 +111,6 @@ def downlink_bits(model: CostModel, w_prev, w_next) -> int:
     """Delta-broadcast cost per receiving client."""
     n = changed_coordinates(w_prev, w_next)
     return n * (model.value_bits + index_bits(model, len(w_prev))) + model.header_bits
-
-
-@dataclass
-class TrafficLedger:
-    """Per-round uplink/downlink bit counts with cumulative totals."""
-
-    uplink_total: List[int] = field(default_factory=list)
-    downlink_total: List[int] = field(default_factory=list)
-
-    def record_round(self, uplink_bits_per_client: Sequence[int], downlink_total_bits: int):
-        up = [int(b) for b in uplink_bits_per_client]
-        if any(b < 0 for b in up) or downlink_total_bits < 0:
-            raise ValueError("bit counts must be >= 0")
-        self.uplink_total.append(sum(up))
-        self.downlink_total.append(int(downlink_total_bits))
-
-    @property
-    def rounds(self) -> int:
-        return len(self.uplink_total)
-
-    def cumulative(self, upto: Optional[int] = None):
-        """(uplink, downlink, total) bits over rounds ``0..upto-1``."""
-        n = self.rounds if upto is None else upto
-        up = sum(self.uplink_total[:n])
-        down = sum(self.downlink_total[:n])
-        return up, down, up + down
 
 
 class _BitWriter:

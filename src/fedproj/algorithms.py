@@ -176,7 +176,6 @@ class History:
 class Clients:
     """Every client's state, one row each; :func:`client_round` updates it."""
 
-    round_index: int
     history: Optional[History] = None      # projecting kinds
     error: Optional[np.ndarray] = None     # (M, d), ef and projfl_ef
     direction: Optional[np.ndarray] = None  # (M, d), ef21 family
@@ -242,7 +241,6 @@ def client_round(cfg: AlgorithmConfig, clients: Clients, g: np.ndarray, keys,
     upload, and ``clients`` moves to the next round.  ``keys`` are the
     clients' compressor stream keys."""
     kind = cfg.kind
-    clients.round_index += 1
 
     if kind in _PROJECTING:
         layers = layer_partition if cfg.projection_layerwise and layer_partition else None
@@ -319,14 +317,14 @@ def init_clients(cfg: AlgorithmConfig, n_clients: int, dim: int) -> Clients:
     zeros = np.zeros((n_clients, dim))
     if kind in _PROJECTING:
         error = zeros if kind is AlgorithmKind.PROJFL_EF else None
-        return Clients(0, history=History(cfg.K, n_clients, dim), error=error)
+        return Clients(history=History(cfg.K, n_clients, dim), error=error)
     if kind is AlgorithmKind.EF:
-        return Clients(0, error=zeros)
+        return Clients(error=zeros)
     if kind in _EF21_FAMILY:
-        return Clients(0, direction=zeros)
+        return Clients(direction=zeros)
     if kind in _DIANA_FAMILY:
-        return Clients(0, memory=zeros)
-    return Clients(0)
+        return Clients(memory=zeros)
+    return Clients()
 
 
 def init_server(cfg: AlgorithmConfig, w0: np.ndarray, n_clients: int) -> Server:

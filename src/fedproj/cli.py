@@ -35,7 +35,6 @@ from .algorithms import AlgorithmConfig, AlgorithmKind
 from .compressors import (
     CompressorKind,
     CompressorSpec,
-    beta_certified,
     compress,
     decode,
     estimate_beta,
@@ -43,28 +42,22 @@ from .compressors import (
     k_eff,
 )
 from .harness import (
+    VERIFY_ITEMS,
     ObjectiveConfig,
     RunConfig,
     VerifierError,
     build_objective,
-    lemma_precheck,
+    loosest_eta_cap,
+    precheck,
     read_metrics_csv,
     run,
-    theorem1_eta_cap,
-    theorem1_precheck,
-    theorem2_eta_cap,
-    theorem2_precheck,
-    verify_lemma_error_bound,
-    verify_theorem1,
-    verify_theorem2,
+    verify,
     write_metrics_csv,
 )
 from .objectives import NoiseKind, NoiseModel, ObjectiveKind
 from .vectors import StreamPurpose, stream_keys
 
-__all__ = ["main", "parse_config_file", "ConfigError", "VERIFY_ITEMS"]
-
-VERIFY_ITEMS = ("t1.1", "t1.2", "t1.3", "t2.1", "t2.2", "t2.3", "lemmaA1")
+__all__ = ["main", "parse_config_file", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -220,7 +213,7 @@ def _seeds_repr(seeds: Tuple[int, ...]) -> str:
     return ",".join(str(s) for s in seeds)
 
 
-def write_effective_config(path, values: Dict):
+def _effective_config_lines(values: Dict) -> List[str]:
     lines = []
     for key in _KEY_ORDER:
         val = values[key]
@@ -231,7 +224,20 @@ def write_effective_config(path, values: Dict):
         elif isinstance(val, float):
             val = repr(val)
         lines.append(f"{key} = {val}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return lines
+
+
+def write_effective_config(path, values: Dict):
+    Path(path).write_text("\n".join(_effective_config_lines(values)) + "\n")
+
+
+def _written_by(values: Dict, metrics_csv) -> bool:
+    """Whether the ``effective_config.cfg`` next to ``metrics_csv`` is what
+    ``values`` would write, its ``name`` line aside."""
+    saved = Path(metrics_csv).with_name("effective_config.cfg")
+    # name is the first key
+    return saved.is_file() and \
+        saved.read_text().splitlines()[1:] == _effective_config_lines(values)[1:]
 
 
 def _resolve_out_dir(values: Dict, out_flag: Optional[str]) -> Path:
@@ -246,24 +252,11 @@ def _default_jobs(n_seeds: int) -> int:
 
 
 def _eta_cap_warning(config: RunConfig, obj) -> Optional[str]:
-    """Loosest applicable theorem cap, when constants allow computing one."""
-    alg = config.algorithm
-    try:
-        if alg.kind is AlgorithmKind.PROJFL and beta_certified(alg.compressor):
-            beta = estimate_beta(alg.compressor, obj.d, obj.layer_partition)
-            cap = max(theorem1_eta_cap(i, obj, beta, obj.M) for i in (1, 2, 3)
-                      if not (i == 1 and obj.mu <= 0))
-        elif alg.kind is AlgorithmKind.PROJFL_EF and \
-                alg.compressor.kind in (CompressorKind.TOPK, CompressorKind.IDENTITY):
-            delta = estimate_delta(alg.compressor, obj.d, obj.layer_partition)
-            cap = max(theorem2_eta_cap(i, obj, delta) for i in (1, 2, 3)
-                      if not (i == 1 and obj.mu <= 0))
-        else:
-            return None
-    except Exception:
-        return None
-    if alg.eta > cap * (1 + 1e-12):
-        return (f"warning: eta={alg.eta} exceeds the loosest applicable "
+    """Warn when eta exceeds the cap of every verifier item that applies."""
+    cap = loosest_eta_cap(obj, config)
+    eta = config.algorithm.eta
+    if cap is not None and eta > cap * (1 + 1e-12):
+        return (f"warning: eta={eta} exceeds the loosest applicable "
                 f"convergence-bound cap {cap:.6g}; running anyway")
     return None
 
@@ -339,29 +332,25 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = _resolve_out_dir(values, args.out)
-    theorem = args.item[:3]
     try:
         # misuse and SKIPPED need only the config and the objective: no run
-        if theorem == "t1.":
-            report = theorem1_precheck(int(args.item[-1]), obj, config)
-        elif theorem == "t2.":
-            report = theorem2_precheck(int(args.item[-1]), obj, config)
-        else:
-            report = lemma_precheck(obj, config)
+        report = precheck(args.item, obj, config)
         if report is None:
             if args.reuse:
-                results = read_metrics_csv(args.reuse)
+                if not _written_by(values, args.reuse):
+                    raise VerifierError(f"{args.reuse} was not written by this config (the "
+                                        f"effective_config.cfg next to it is missing or "
+                                        f"differs)")
+                try:
+                    results = read_metrics_csv(args.reuse)
+                except (OSError, ValueError, IndexError) as exc:
+                    raise VerifierError(f"cannot read {args.reuse}: {exc}") from exc
             else:
                 jobs = args.jobs or _default_jobs(len(config.seeds))
                 results = run(config, jobs, obj)
                 write_metrics_csv(out / "metrics.csv", results)
                 write_effective_config(out / "effective_config.cfg", values)
-            if theorem == "t1.":
-                report = verify_theorem1(int(args.item[-1]), results, obj, config)
-            elif theorem == "t2.":
-                report = verify_theorem2(int(args.item[-1]), results, obj, config)
-            else:
-                report = verify_lemma_error_bound(results, obj, config)
+            report = verify(args.item, results, obj, config)
     except VerifierError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -527,7 +516,9 @@ def main(argv=None) -> int:
     p_verify.add_argument("--item", required=True,
                           help=f"bound to check: {', '.join(VERIFY_ITEMS)}")
     p_verify.add_argument("--reuse", default=None,
-                          help="verify a previously written metrics.csv instead of rerunning")
+                          help="verify a metrics.csv that this config wrote earlier "
+                               "(the effective_config.cfg next to it must match, name "
+                               "aside) instead of rerunning")
 
     p_cert = sub.add_parser("certify", help="print compressor certificates with evidence")
     p_cert.add_argument("--kind", required=True,

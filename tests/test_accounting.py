@@ -5,7 +5,6 @@ from fedproj.accounting import (
     DEFAULT_COST_MODEL,
     CostModel,
     IndexBitsMode,
-    TrafficLedger,
     changed_coordinates,
     deserialize_message,
     downlink_bits,
@@ -108,28 +107,6 @@ class TestDownlink:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             downlink_bits(DEFAULT_COST_MODEL, np.zeros(3), np.zeros(4))
-
-
-class TestLedger:
-    def test_cumulative_prefix_sums(self):
-        led = TrafficLedger()
-        led.record_round([10, 20], 5)
-        led.record_round([1, 2], 7)
-        assert led.uplink_total == [30, 3]
-        assert led.cumulative(1) == (30, 5, 35)
-        assert led.cumulative() == (33, 12, 45)
-
-    def test_monotone(self):
-        led = TrafficLedger()
-        for r in range(5):
-            led.record_round([r], r)
-        totals = [led.cumulative(i)[2] for i in range(6)]
-        assert totals == sorted(totals)
-
-    def test_negative_rejected(self):
-        led = TrafficLedger()
-        with pytest.raises(ValueError):
-            led.record_round([-1], 0)
 
 
 class TestWireFormat:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 import fedproj.cli
 import fedproj.harness
 from fedproj.cli import main
+from fedproj.harness import build_objective, eta_cap, loosest_eta_cap
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -38,6 +40,58 @@ class TestVerifyPrecheck:
             assert json.loads(report.read_text())["status"] == "SKIPPED"
         else:
             assert not report.exists()
+
+    LOGI = dict(objective="logistic", dim=4, clients=2, samples_per_client=5)
+    MLP = dict(objective="tiny_mlp", clients=2, d_in=3, hidden=2, samples_per_client=5)
+    EF = dict(algorithm="projfl_ef")
+
+    @pytest.mark.parametrize("item, values, reason", [
+        ("t1.1", dict(compressor="topk", k_fraction=0.5),
+         "compressor has no unbiasedness certificate (biased kind)"),
+        ("t1.1", LOGI, "item 1 needs a recorded distance-to-optimum metric"),
+        ("t1.1", dict(LOGI, ridge=0.0), "item 1 needs strong convexity (mu > 0)"),
+        ("t1.2", MLP, "no certified L for this objective"),
+        ("t1.3", dict(compressor="topk", k_fraction=0.5),
+         "compressor has no unbiasedness certificate (biased kind)"),
+        ("t2.1", dict(EF, compressor="randk", k_fraction=0.5),
+         "compressor has no contraction certificate as applied (needs topk or identity)"),
+        ("t2.1", dict(EF, **LOGI, ridge=0.0), "item 1 needs strong convexity (mu > 0)"),
+        ("t2.2", dict(EF, **MLP), "no certified L for this objective"),
+        ("t2.3", dict(EF, compressor="qsgd", s_levels=2),
+         "compressor has no contraction certificate as applied (needs topk or identity)"),
+        ("lemmaA1", dict(EF, compressor="randk", k_fraction=0.5),
+         "compressor has no contraction certificate as applied"),
+    ])
+    def test_skipped_reason(self, tmp_path, capsys, item, values, reason):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=3, **values)
+        assert main(["verify", str(cfg), "--item", item,
+                     "--out", str(tmp_path), "--jobs", "1"]) == 4
+        report = json.loads((tmp_path / "c" / f"report_{item.replace('.', '_')}.json")
+                            .read_text())
+        assert (report["status"], report["reason"]) == ("SKIPPED", reason)
+        assert capsys.readouterr().out.startswith(f"{item}: SKIPPED ({reason})\n")
+
+    @pytest.mark.parametrize("item, values, message", [
+        ("t1.1", EF, "theorem-1 verification applies to projfl runs"),
+        ("t1.2", EF, "theorem-1 verification applies to projfl runs"),
+        ("t1.3", EF, "theorem-1 verification applies to projfl runs"),
+        ("t2.1", {}, "theorem-2 verification applies to projfl_ef runs"),
+        ("t2.2", {}, "theorem-2 verification applies to projfl_ef runs"),
+        ("t2.3", {}, "theorem-2 verification applies to projfl_ef runs"),
+        ("lemmaA1", {}, "the error-bound lemma applies to projfl_ef runs"),
+        ("t1.1", dict(eta=2.0), "eta=2.0 exceeds the item-1 cap 1.0"),
+        ("t1.2", dict(eta=2.0), "eta=2.0 exceeds the item-2 cap 0.5"),
+        ("t1.3", dict(eta=2.0), "eta=2.0 exceeds the item-3 cap 1.0"),
+        ("t2.1", dict(EF, eta=2.0), "eta=2.0 exceeds the item-1 cap 0.09128709291752768"),
+        ("t2.2", dict(EF, eta=2.0), "eta=2.0 exceeds the item-2 cap 0.11180339887498948"),
+        ("t2.3", dict(EF, eta=2.0), "eta=2.0 exceeds the item-3 cap 0.125"),
+    ])
+    def test_misuse_message(self, tmp_path, capsys, item, values, message):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=3, **values)
+        assert main(["verify", str(cfg), "--item", item,
+                     "--out", str(tmp_path), "--jobs", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list((tmp_path / "c").iterdir()) == []
 
     def test_pass_writes_metrics(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", name="c", eta=0.5, rounds=3)
@@ -100,6 +154,36 @@ class TestObjectiveBuild:
 
 
 class TestDefinedExits:
+    def test_run_ok_is_exit_0(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=3, seeds="0:2")
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == f"wrote {tmp_path / 'c' / 'metrics.csv'} (2 seeds x 4 rows)\n"
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) == \
+            ["effective_config.cfg", "metrics.csv", "summary.json"]
+
+    @pytest.mark.parametrize("item, column", [("t1.2", "loss_gap"),
+                                              ("t1.1", "dist_to_opt_sq")])
+    def test_verify_fail_is_exit_3(self, tmp_path, capsys, item, column):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", eta=0.5, rounds=10)
+        argv = ["verify", str(cfg), "--item", item, "--out", str(tmp_path), "--jobs", "1"]
+        assert main(argv) == 0
+        metrics = tmp_path / "c" / "metrics.csv"
+        with open(metrics, newline="") as fh:
+            rows = list(csv.reader(fh))
+        j = rows[0].index(column)
+        for row in rows[2:]:   # every row after round 0
+            row[j] = repr(float(row[j]) * 1e3 + 1.0)
+        with open(metrics, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main(argv + ["--reuse", str(metrics)]) == 3
+        report = json.loads((tmp_path / "c" / f"report_{item.replace('.', '_')}.json")
+                            .read_text())
+        assert report["status"] == "FAIL" and report["lhs"] > report["rhs"]
+        assert capsys.readouterr().out.startswith(f"{item}: FAIL (")
+
     def test_nonfinite_iterate_is_divergence(self, tmp_path, capsys):
         # the norm guard alone never fires at an infinite threshold
         cfg = write_cfg(tmp_path / "c.cfg", name="c", objective="logistic", dim=6, clients=3,
@@ -118,6 +202,43 @@ class TestDefinedExits:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+
+
+class TestEtaCapWarning:
+    """``run`` warns on stderr when eta exceeds the cap of every verifier item
+    that applies to the run, and runs anyway."""
+
+    WARNING = ("warning: eta={} exceeds the loosest applicable convergence-bound cap {}; "
+               "running anyway\n")
+
+    @pytest.mark.parametrize("values, warning", [
+        # axis_pair quadratic, identity: caps 1.0 (t1.1), 0.5 (t1.2), 1.0 (t1.3)
+        (dict(eta=1.5), WARNING.format(1.5, "1")),
+        (dict(eta=1.0), ""),
+        # no certified L: no bound applies
+        (dict(objective="tiny_mlp", clients=2, d_in=3, hidden=2, samples_per_client=5,
+              eta=1.0), ""),
+        # no w*: t1.1 is skipped, so the cap is t1.3's 1/L, not t1.1's 2/(mu + L)
+        (dict(objective="logistic", dim=4, clients=2, samples_per_client=5, eta=1.5),
+         WARNING.format(1.5, "1.08515")),
+        (dict(algorithm="projfl_ef", compressor="topk", k_fraction=0.5, eta=0.5),
+         WARNING.format(0.5, "0.0625")),
+        (dict(algorithm="projfl_ef", compressor="randk", k_fraction=0.5, eta=0.5), ""),
+        (dict(algorithm="fedavg", eta=1.5), ""),
+    ], ids=["quad-above", "quad-at-cap", "mlp", "logistic", "topk-ef", "randk-ef", "fedavg"])
+    def test_warning_on_stderr_exit_0(self, tmp_path, capsys, values, warning):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=3, **values)
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 0
+        assert capsys.readouterr().err == warning
+
+    def test_logistic_cap_is_the_t1_3_cap(self, tmp_path):
+        values = fedproj.cli.parse_config_file(write_cfg(
+            tmp_path / "c.cfg", objective="logistic", dim=4, clients=2,
+            samples_per_client=5))
+        config = fedproj.cli.build_run_config(values)
+        obj = build_objective(config.objective)
+        assert loosest_eta_cap(obj, config) == eta_cap("t1.3", obj, 1.0) \
+            < eta_cap("t1.1", obj, 1.0)
 
 
 class TestConfigErrors:
@@ -164,3 +285,48 @@ class TestReproduction:
         assert main(argv + ["--out", str(tmp_path / "b"), "--reuse", str(metrics)]) == 0
         assert (tmp_path / "b" / "c" / "report_lemmaA1.json").read_bytes() == report
         assert not (tmp_path / "b" / "c" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("change", ["dim", "no_effective_config", "name"])
+    def test_verify_reuse_needs_the_same_config(self, tmp_path, capsys, change):
+        a = write_cfg(tmp_path / "a.cfg", name="a", dim=6, clients=3, centers="random",
+                      algorithm="projfl", compressor="randk", k_fraction=0.5, eta=0.05,
+                      rounds=6, seeds="0:2")
+        assert main(["verify", str(a), "--item", "t1.1", "--out", str(tmp_path),
+                     "--jobs", "1"]) == 0
+        metrics = tmp_path / "a" / "metrics.csv"
+        values = dict(name="b", dim=6, clients=3, centers="random", algorithm="projfl",
+                      compressor="randk", k_fraction=0.5, eta=0.05, rounds=6, seeds="0:2")
+        if change == "dim":
+            values.update(dim=9, eta=0.2)
+        elif change == "no_effective_config":
+            (tmp_path / "a" / "effective_config.cfg").unlink()
+        b = write_cfg(tmp_path / "b.cfg", **values)
+        capsys.readouterr()
+        code = main(["verify", str(b), "--item", "t1.1", "--out", str(tmp_path),
+                     "--reuse", str(metrics)])
+        report = tmp_path / "b" / "report_t1_1.json"
+        if change == "name":    # the name alone may differ
+            assert code == 0 and report.exists()
+            return
+        assert code == 1 and not report.exists()
+        err = capsys.readouterr().err
+        assert err == (f"error: {metrics} was not written by this config (the "
+                       f"effective_config.cfg next to it is missing or differs)\n")
+
+    @pytest.mark.parametrize("damage", ["missing", "header", "truncated"])
+    def test_verify_reuse_unreadable_csv_is_one_line_exit_1(self, tmp_path, capsys, damage):
+        cfg = write_cfg(tmp_path / "c.cfg", **self.CFG)
+        argv = ["verify", str(cfg), "--item", "lemmaA1", "--out", str(tmp_path),
+                "--jobs", "1"]
+        assert main(argv) == 0
+        metrics = tmp_path / "c" / "metrics.csv"
+        if damage == "missing":
+            metrics.unlink()
+        elif damage == "header":
+            metrics.write_text("x,y\n")
+        else:
+            metrics.write_text(metrics.read_text()[:-20])
+        capsys.readouterr()
+        assert main(argv + ["--reuse", str(metrics)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {metrics}: ") and err.count("\n") == 1

@@ -12,12 +12,9 @@ from fedproj.harness import (
     locate_optimum,
     read_metrics_csv,
     run,
+    eta_cap,
     run_seed,
-    theorem1_eta_cap,
-    theorem2_eta_cap,
-    verify_lemma_error_bound,
-    verify_theorem1,
-    verify_theorem2,
+    verify,
     write_metrics_csv,
 )
 from fedproj.objectives import NoiseModel, ObjectiveKind, stochastic_gradient
@@ -127,7 +124,7 @@ class TestRun:
 
 
 class TestSelectOutput:
-    """The geometric output rule whose exact expectation ``verify_theorem2``
+    """The geometric output rule whose exact expectation ``verify("t2.1", ...)``
     takes over the recorded trajectory."""
 
     def test_geometric_weight_ratio(self):
@@ -146,7 +143,7 @@ class TestTheorem1Verifier:
         cfg = quad_config(rounds=60, seeds=(0, 1, 2))
         results = run(cfg)
         obj = build_objective(cfg.objective)
-        report = verify_theorem1(1, results, obj, cfg)
+        report = verify("t1.1", results, obj, cfg)
         assert report.status == "PASS"
         for row in report.per_round:
             assert row["stderr"] == 0.0
@@ -161,8 +158,8 @@ class TestTheorem1Verifier:
                           compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=kf))
         results = run(cfg)
         obj = build_objective(cfg.objective)
-        assert theorem1_eta_cap(1, obj, beta, 2) == pytest.approx(eta)
-        report = verify_theorem1(1, results, obj, cfg)
+        assert eta_cap("t1.1", obj, beta) == pytest.approx(eta)
+        report = verify("t1.1", results, obj, cfg)
         assert report.status == "PASS"
         assert report.constants["beta"] == beta
 
@@ -171,14 +168,14 @@ class TestTheorem1Verifier:
         results = run(cfg)
         obj = build_objective(cfg.objective)
         with pytest.raises(VerifierError):
-            verify_theorem1(1, results, obj, cfg)
+            verify("t1.1", results, obj, cfg)
 
     def test_topk_skipped(self):
         cfg = quad_config(eta=0.5, rounds=5,
                           compressor=CompressorSpec(CompressorKind.TOPK, k_fraction=0.5))
         results = run(cfg)
         obj = build_objective(cfg.objective)
-        report = verify_theorem1(1, results, obj, cfg)
+        report = verify("t1.1", results, obj, cfg)
         assert report.status == "SKIPPED"
 
     def test_tiny_mlp_skipped_no_certified_L(self):
@@ -190,7 +187,7 @@ class TestTheorem1Verifier:
                                                   compressor=IDENTITY),
                         rounds=3, seeds=(0,))
         results = run(cfg)
-        report = verify_theorem1(3, results, obj, cfg)
+        report = verify("t1.3", results, obj, cfg)
         assert report.status == "SKIPPED"
         assert "certified L" in report.reason
 
@@ -199,7 +196,7 @@ class TestTheorem1Verifier:
         results = run(cfg)
         obj = build_objective(cfg.objective)
         with pytest.raises(VerifierError):
-            verify_theorem1(1, results, obj, cfg)
+            verify("t1.1", results, obj, cfg)
 
     def test_item2_convex_bound(self):
         beta = 4.0
@@ -208,7 +205,7 @@ class TestTheorem1Verifier:
                           compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=0.25))
         results = run(cfg)
         obj = build_objective(cfg.objective)
-        report = verify_theorem1(2, results, obj, cfg)
+        report = verify("t1.2", results, obj, cfg)
         assert report.status == "PASS"
 
     def test_item3_caveats_name_only_what_it_uses(self):
@@ -219,7 +216,7 @@ class TestTheorem1Verifier:
                         algorithm=AlgorithmConfig(AlgorithmKind.PROJFL, eta=0.01,
                                                   compressor=IDENTITY),
                         rounds=5, seeds=(0,))
-        report = verify_theorem1(3, run(cfg), obj, cfg)
+        report = verify("t1.3", run(cfg), obj, cfg)
         assert report.status == "PASS"
         assert "f* located numerically" in report.caveats
         assert "w* located numerically" not in report.caveats
@@ -230,10 +227,10 @@ class TestTheorem1Verifier:
                           eta=0.4)
         results = run(cfg)
         obj = build_objective(cfg.objective)
-        direct = verify_theorem1(1, results, obj, cfg)
+        direct = verify("t1.1", results, obj, cfg)
         path = tmp_path / "m.csv"
         write_metrics_csv(path, results)
-        reloaded = verify_theorem1(1, read_metrics_csv(path), obj, cfg)
+        reloaded = verify("t1.1", read_metrics_csv(path), obj, cfg)
         assert direct.to_dict() == reloaded.to_dict()
 
 
@@ -241,31 +238,31 @@ class TestTheorem2Verifier:
     def topk_cfg(self, item, sigma=0.0, rounds=300, seeds=(0,)):
         obj = build_objective(ObjectiveConfig(ObjectiveKind.QUADRATIC, d=20, clients=2))
         delta = 0.1
-        eta = theorem2_eta_cap(item, obj, delta)
+        eta = eta_cap(f"t2.{item}", obj, delta)
         return quad_config(kind=AlgorithmKind.PROJFL_EF, eta=eta, rounds=rounds,
                            seeds=seeds, sigma=sigma, d=20,
                            compressor=CompressorSpec(CompressorKind.TOPK, k_fraction=0.1))
 
     def test_identity_delta_one_passes(self):
         obj = build_objective(QUAD)
-        eta = theorem2_eta_cap(2, obj, 1.0)
+        eta = eta_cap("t2.2", obj, 1.0)
         cfg = quad_config(kind=AlgorithmKind.PROJFL_EF, eta=eta, rounds=100)
         results = run(cfg)
-        report = verify_theorem2(2, results, build_objective(cfg.objective), cfg)
+        report = verify("t2.2", results, build_objective(cfg.objective), cfg)
         assert report.status == "PASS"
         assert report.constants["delta"] == 1.0
 
     def test_topk_item1(self):
         cfg = self.topk_cfg(1)
         results = run(cfg)
-        report = verify_theorem2(1, results, build_objective(cfg.objective), cfg)
+        report = verify("t2.1", results, build_objective(cfg.objective), cfg)
         assert report.status == "PASS"
 
     def test_randk_skipped(self):
         cfg = quad_config(kind=AlgorithmKind.PROJFL_EF, eta=0.01, rounds=5,
                           compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=0.5))
         results = run(cfg)
-        report = verify_theorem2(1, results, build_objective(cfg.objective), cfg)
+        report = verify("t2.1", results, build_objective(cfg.objective), cfg)
         assert report.status == "SKIPPED"
 
     def test_eta_above_cap_raises(self):
@@ -276,25 +273,25 @@ class TestTheorem2Verifier:
                                                   compressor=cfg.algorithm.compressor),
                         rounds=cfg.rounds, seeds=cfg.seeds)
         with pytest.raises(VerifierError):
-            verify_theorem2(1, results, build_objective(cfg.objective), bad)
+            verify("t2.1", results, build_objective(cfg.objective), bad)
 
 
 class TestLemmaVerifier:
     def test_identity_error_stays_zero(self):
         cfg = quad_config(kind=AlgorithmKind.PROJFL_EF, eta=0.2, rounds=50)
         results = run(cfg)
-        report = verify_lemma_error_bound(results, build_objective(cfg.objective), cfg)
+        report = verify("lemmaA1", results, build_objective(cfg.objective), cfg)
         assert report.status == "PASS"
         assert report.lhs == 0.0
 
     def test_topk_bound_holds(self):
         obj = build_objective(ObjectiveConfig(ObjectiveKind.QUADRATIC, d=20, clients=2))
-        eta = theorem2_eta_cap(2, obj, 0.1)
+        eta = eta_cap("t2.2", obj, 0.1)
         cfg = quad_config(kind=AlgorithmKind.PROJFL_EF, eta=eta, rounds=200,
                           seeds=tuple(range(10)), sigma=0.5, d=20,
                           compressor=CompressorSpec(CompressorKind.TOPK, k_fraction=0.1))
         results = run(cfg)
-        report = verify_lemma_error_bound(results, build_objective(cfg.objective), cfg)
+        report = verify("lemmaA1", results, build_objective(cfg.objective), cfg)
         assert report.status == "PASS"
         assert report.constants["worst_ratio"] < 1.0
 
@@ -302,7 +299,7 @@ class TestLemmaVerifier:
         cfg = quad_config(kind=AlgorithmKind.EF, rounds=5)
         results = run(cfg)
         with pytest.raises(VerifierError):
-            verify_lemma_error_bound(results, build_objective(cfg.objective), cfg)
+            verify("lemmaA1", results, build_objective(cfg.objective), cfg)
 
 
 class TestLocateOptimum:

@@ -101,9 +101,9 @@ _DIANA_FAMILY = (AlgorithmKind.DIANA, AlgorithmKind.DIANA_GAMMA)
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    kind: AlgorithmKind
-    eta: float
-    compressor: CompressorSpec
+    kind: AlgorithmKind = AlgorithmKind.PROJFL
+    eta: float = 0.1
+    compressor: CompressorSpec = CompressorSpec()
     K: int = 3                    # history window (projecting family)
     zeta: float = 0.75            # error damping (ef)
     gamma: float = 0.9            # forgetting (ef21_gamma / diana_gamma)

@@ -7,34 +7,44 @@ the config's ``name`` key (default: config file stem).
 
 Config grammar
 --------------
-* one ``key = value`` pair per line; ``#`` starts a comment; blank lines ok
+* UTF-8; one ``key = value`` pair per line; ``#`` comments; blank lines ok
 * unknown keys are rejected with the offending line number
+* every key but ``name`` sets one dataclass field (``_FIELDS``); its default
+  is that field's default, and its value parses as the default's type
 * ``seeds`` accepts ``a:b`` (half-open range) or a comma list
 * every omitted key takes its default; the effective values (defaults
   included) are echoed to ``effective_config.cfg`` next to the metrics
 
-Exit codes: ``run`` 0 ok / 1 bad config / 2 divergence; ``verify`` 0 PASS /
-3 FAIL / 4 SKIPPED / 1 error; ``certify`` and ``export`` 0 ok / 1 error.
+Exit codes: ``run`` 0 ok / 2 divergence; ``verify`` 0 PASS / 3 FAIL /
+4 SKIPPED; ``certify`` and ``export`` 0 ok.  Every command exits 1 on every
+input it refuses, with one ``error: ...`` line and no traceback: a config
+that is unreadable, not UTF-8 or invalid; an output path that cannot be
+written; a ``verify`` item that is unknown or misused; an ``export`` or
+``verify --reuse`` metrics CSV that is missing or unreadable; a ``certify``
+``--dim`` below 1 or an invalid compressor.  Argparse usage errors exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
+from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .accounting import CostModel, IndexBitsMode
+from .accounting import CostModel
 from .algorithms import AlgorithmConfig, AlgorithmKind
 from .compressors import (
     CompressorKind,
     CompressorSpec,
+    beta_certified,
     compress,
     decode,
     estimate_beta,
@@ -45,7 +55,6 @@ from .harness import (
     VERIFY_ITEMS,
     ObjectiveConfig,
     RunConfig,
-    VerifierError,
     build_objective,
     loosest_eta_cap,
     precheck,
@@ -54,7 +63,7 @@ from .harness import (
     verify,
     write_metrics_csv,
 )
-from .objectives import NoiseKind, NoiseModel, ObjectiveKind
+from .objectives import NoiseModel
 from .vectors import StreamPurpose, stream_keys
 
 __all__ = ["main", "parse_config_file", "ConfigError"]
@@ -80,129 +89,85 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# key -> (parser, default)
-_SCHEMA: Dict[str, tuple] = {
-    "name": (str, None),
-    # objective
-    "objective": (str, "quadratic"),
-    "dim": (int, 2),
-    "clients": (int, 2),
-    "centers": (str, "axis_pair"),
-    "separation": (float, 2.0),
-    "center_scale": (float, 1.0),
-    "data_seed": (int, 7),
-    "samples_per_client": (int, 40),
-    "ridge": (float, 0.1),
-    "heterogeneity": (float, 0.5),
-    "d_in": (int, 5),
-    "hidden": (int, 4),
-    # algorithm
-    "algorithm": (str, "projfl"),
-    "eta": (float, 0.1),
-    "history_window": (int, 3),
-    "zeta": (float, 0.75),
-    "gamma": (float, 0.9),
-    "diana_alpha": (float, 0.9),
-    "diana_beta": (float, 0.1),
-    "projection_layerwise": (_parse_bool, False),
-    # compressor
-    "compressor": (str, "identity"),
-    "k_fraction": (float, 1.0),
-    "s_levels": (int, 1),
-    "layerwise": (_parse_bool, False),
-    # noise
-    "noise": (str, "gaussian_iso"),
-    "sigma": (float, 0.0),
-    # run
-    "rounds": (int, 100),
-    "seeds": (_parse_seeds, (0,)),
-    "cadence": (int, 1),
-    "divergence_threshold": (float, 1e12),
-    # accounting
-    "value_bits": (int, 32),
-    "index_bits_mode": (str, "fixed32"),
-    "scalar_bits": (int, 32),
-    "header_bits": (int, 0),
+def _same(cls, *keys) -> Dict[str, tuple]:
+    return {key: (cls, key) for key in keys}
+
+
+# config key -> (dataclass, field), in effective_config.cfg order after
+# ``name``, the one key that belongs to the CLI alone
+_FIELDS: Dict[str, tuple] = {
+    "objective": (ObjectiveConfig, "kind"),
+    "dim": (ObjectiveConfig, "d"),
+    **_same(ObjectiveConfig, "clients", "centers", "separation", "center_scale",
+            "data_seed", "samples_per_client", "ridge", "heterogeneity", "d_in", "hidden"),
+    "algorithm": (AlgorithmConfig, "kind"),
+    "eta": (AlgorithmConfig, "eta"),
+    "history_window": (AlgorithmConfig, "K"),
+    **_same(AlgorithmConfig, "zeta", "gamma", "diana_alpha", "diana_beta",
+            "projection_layerwise"),
+    "compressor": (CompressorSpec, "kind"),
+    **_same(CompressorSpec, "k_fraction", "s_levels", "layerwise"),
+    "noise": (NoiseModel, "distribution"),
+    "sigma": (NoiseModel, "sigma"),
+    **_same(RunConfig, "rounds", "seeds", "cadence", "divergence_threshold"),
+    **_same(CostModel, "value_bits", "index_bits_mode", "scalar_bits", "header_bits"),
 }
 
-_KEY_ORDER = list(_SCHEMA)
+_KEY_ORDER = ["name", *_FIELDS]
+
+
+def _default(key: str):
+    """The key's dataclass field default, an enum in its config-file form."""
+    cls, name = _FIELDS[key]
+    value = next(f.default for f in dataclasses.fields(cls) if f.name == name)
+    return value.value if isinstance(value, Enum) else value
 
 
 def parse_config_file(path) -> Dict:
     """Parse and validate a config file into a plain key->value dict."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     values: Dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            parser, _ = _SCHEMA[key]
-            try:
-                values[key] = parser(val)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    for key, (_, default) in _SCHEMA.items():
-        values.setdefault(key, default)
-    if values["name"] is None:
-        values["name"] = Path(path).stem
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _KEY_ORDER:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        kind = str if key == "name" else type(_default(key))
+        parser = {bool: _parse_bool, tuple: _parse_seeds}.get(kind, kind)
+        try:
+            values[key] = parser(val)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    values.setdefault("name", Path(path).stem)
+    for key in _FIELDS:
+        values.setdefault(key, _default(key))
     return values
 
 
 def build_run_config(values: Dict) -> RunConfig:
+    """The run's dataclasses, built in a fixed order: objective, compressor,
+    algorithm, noise, cost model, run.  The first fault met is the one
+    reported."""
+    fields: Dict[type, Dict] = {cls: {} for cls, _ in _FIELDS.values()}
+    for key, (cls, name) in _FIELDS.items():
+        fields[cls][name] = values[key]
     try:
-        ocfg = ObjectiveConfig(
-            kind=ObjectiveKind(values["objective"]),
-            d=values["dim"],
-            clients=values["clients"],
-            centers=values["centers"],
-            separation=values["separation"],
-            center_scale=values["center_scale"],
-            data_seed=values["data_seed"],
-            samples_per_client=values["samples_per_client"],
-            ridge=values["ridge"],
-            heterogeneity=values["heterogeneity"],
-            d_in=values["d_in"],
-            hidden=values["hidden"],
-        )
-        alg = AlgorithmConfig(
-            kind=AlgorithmKind(values["algorithm"]),
-            eta=values["eta"],
-            compressor=CompressorSpec(
-                kind=CompressorKind(values["compressor"]),
-                k_fraction=values["k_fraction"],
-                s_levels=values["s_levels"],
-                layerwise=values["layerwise"],
-            ),
-            K=values["history_window"],
-            zeta=values["zeta"],
-            gamma=values["gamma"],
-            diana_alpha=values["diana_alpha"],
-            diana_beta=values["diana_beta"],
-            projection_layerwise=values["projection_layerwise"],
-        )
-        return RunConfig(
-            objective=ocfg,
-            algorithm=alg,
-            noise=NoiseModel(values["sigma"], NoiseKind(values["noise"])),
-            rounds=values["rounds"],
-            seeds=values["seeds"],
-            cadence=values["cadence"],
-            cost_model=CostModel(
-                value_bits=values["value_bits"],
-                index_bits_mode=IndexBitsMode(values["index_bits_mode"]),
-                scalar_bits=values["scalar_bits"],
-                header_bits=values["header_bits"],
-            ),
-            divergence_threshold=values["divergence_threshold"],
-        )
+        objective = ObjectiveConfig(**fields[ObjectiveConfig])
+        algorithm = AlgorithmConfig(compressor=CompressorSpec(**fields[CompressorSpec]),
+                                    **fields[AlgorithmConfig])
+        return RunConfig(objective, algorithm, noise=NoiseModel(**fields[NoiseModel]),
+                         cost_model=CostModel(**fields[CostModel]), **fields[RunConfig])
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -227,17 +192,13 @@ def _effective_config_lines(values: Dict) -> List[str]:
     return lines
 
 
-def write_effective_config(path, values: Dict):
-    Path(path).write_text("\n".join(_effective_config_lines(values)) + "\n")
-
-
 def _written_by(values: Dict, metrics_csv) -> bool:
     """Whether the ``effective_config.cfg`` next to ``metrics_csv`` is what
     ``values`` would write, its ``name`` line aside."""
     saved = Path(metrics_csv).with_name("effective_config.cfg")
-    # name is the first key
-    return saved.is_file() and \
-        saved.read_text().splitlines()[1:] == _effective_config_lines(values)[1:]
+    # name is the first key; bytes that are not UTF-8 cannot match
+    return saved.is_file() and _effective_config_lines(values)[1:] == \
+        saved.read_text(errors="replace").splitlines()[1:]
 
 
 def _resolve_out_dir(values: Dict, out_flag: Optional[str]) -> Path:
@@ -247,18 +208,35 @@ def _resolve_out_dir(values: Dict, out_flag: Optional[str]) -> Path:
     return out
 
 
-def _default_jobs(n_seeds: int) -> int:
-    return max(1, min(n_seeds, os.cpu_count() or 1))
+def _run_and_save(jobs: Optional[int], values: Dict, config: RunConfig, obj, out: Path):
+    """Run every seed (``--jobs`` workers, default: seeds capped at cores) and
+    write ``metrics.csv`` and ``effective_config.cfg``."""
+    jobs = jobs or max(1, min(len(config.seeds), os.cpu_count() or 1))
+    results = run(config, jobs, obj)
+    write_metrics_csv(out / "metrics.csv", results)
+    lines = _effective_config_lines(values)
+    (out / "effective_config.cfg").write_text("\n".join(lines) + "\n")
+    return results
 
 
-def _eta_cap_warning(config: RunConfig, obj) -> Optional[str]:
-    """Warn when eta exceeds the cap of every verifier item that applies."""
+def _warnings(config: RunConfig, obj) -> List[str]:
+    """Warn when eta exceeds the cap of every verifier item that applies, and
+    when a diana memory step exceeds 1/beta = 1/(omega+1), the largest step
+    the diana theory admits (Mishchenko et al., 2019)."""
+    alg = config.algorithm
+    warnings = []
     cap = loosest_eta_cap(obj, config)
-    eta = config.algorithm.eta
-    if cap is not None and eta > cap * (1 + 1e-12):
-        return (f"warning: eta={eta} exceeds the loosest applicable "
-                f"convergence-bound cap {cap:.6g}; running anyway")
-    return None
+    if cap is not None and alg.eta > cap * (1 + 1e-12):
+        warnings.append(f"warning: eta={alg.eta} exceeds the loosest applicable "
+                        f"convergence-bound cap {cap:.6g}; running anyway")
+    if alg.kind in (AlgorithmKind.DIANA, AlgorithmKind.DIANA_GAMMA) \
+            and beta_certified(alg.compressor):
+        alpha_max = 1.0 / estimate_beta(alg.compressor, obj.d, obj.layer_partition)
+        if alg.diana_alpha > alpha_max * (1 + 1e-12):
+            warnings.append(f"warning: diana_alpha={alg.diana_alpha} exceeds 1/beta = "
+                            f"{alpha_max:.6g}, the largest memory step the diana theory "
+                            f"admits; running anyway")
+    return warnings
 
 
 def _summarize(results) -> dict:
@@ -295,20 +273,20 @@ def _load(config_path):
     return values, config, obj
 
 
-def cmd_run(args) -> int:
+def _read_metrics(path):
+    """Seed results of a metrics CSV; a fault names the path."""
     try:
-        values, config, obj = _load(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    warning = _eta_cap_warning(config, obj)
-    if warning:
+        return read_metrics_csv(path)
+    except (OSError, ValueError, IndexError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def cmd_run(args) -> int:
+    values, config, obj = _load(args.config)
+    for warning in _warnings(config, obj):
         print(warning, file=sys.stderr)
     out = _resolve_out_dir(values, args.out)
-    jobs = args.jobs or _default_jobs(len(config.seeds))
-    results = run(config, jobs, obj)
-    write_metrics_csv(out / "metrics.csv", results)
-    write_effective_config(out / "effective_config.cfg", values)
+    results = _run_and_save(args.jobs, values, config, obj, out)
     summary = json.dumps(_summarize(results), indent=2, sort_keys=True)
     (out / "summary.json").write_text(summary + "\n")
     diverged = [r.seed for r in results if r.diverged_at is not None]
@@ -323,37 +301,20 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.item not in VERIFY_ITEMS:
-        print(f"error: unknown item {args.item!r} (choose from {', '.join(VERIFY_ITEMS)})",
-              file=sys.stderr)
-        return 1
-    try:
-        values, config, obj = _load(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown item {args.item!r} (choose from {', '.join(VERIFY_ITEMS)})")
+    values, config, obj = _load(args.config)
     out = _resolve_out_dir(values, args.out)
-    try:
-        # misuse and SKIPPED need only the config and the objective: no run
-        report = precheck(args.item, obj, config)
-        if report is None:
-            if args.reuse:
-                if not _written_by(values, args.reuse):
-                    raise VerifierError(f"{args.reuse} was not written by this config (the "
-                                        f"effective_config.cfg next to it is missing or "
-                                        f"differs)")
-                try:
-                    results = read_metrics_csv(args.reuse)
-                except (OSError, ValueError, IndexError) as exc:
-                    raise VerifierError(f"cannot read {args.reuse}: {exc}") from exc
-            else:
-                jobs = args.jobs or _default_jobs(len(config.seeds))
-                results = run(config, jobs, obj)
-                write_metrics_csv(out / "metrics.csv", results)
-                write_effective_config(out / "effective_config.cfg", values)
-            report = verify(args.item, results, obj, config)
-    except VerifierError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # misuse and SKIPPED need only the config and the objective: no run
+    report = precheck(args.item, obj, config)
+    if report is None:
+        if args.reuse:
+            if not _written_by(values, args.reuse):
+                raise ValueError(f"{args.reuse} was not written by this config (the "
+                                 f"effective_config.cfg next to it is missing or differs)")
+            results = _read_metrics(args.reuse)
+        else:
+            results = _run_and_save(args.jobs, values, config, obj, out)
+        report = verify(args.item, results, obj, config)
     report_path = out / f"report_{args.item.replace('.', '_')}.json"
     report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     print(f"{args.item}: {report.status} ({report.reason})")
@@ -362,6 +323,22 @@ def cmd_verify(args) -> int:
             print(f"  caveat: {caveat}")
     print(f"wrote {report_path}")
     return {"PASS": 0, "FAIL": 3, "SKIPPED": 4}[report.status]
+
+
+_TRIALS = 10_000
+
+
+def _trial_rows(dim: int):
+    """The Monte-Carlo trial indices in blocks of about 2**20 floats of rows."""
+    step = max(1, 2**20 // dim)
+    return (np.arange(lo, min(lo + step, _TRIALS)) for lo in range(0, _TRIALS, step))
+
+
+def _compressed_trials(spec: CompressorSpec, g: np.ndarray):
+    """Blocks of decoded rows C(g); trial ``r`` draws from stream key (0, 0, r)."""
+    for rows in _trial_rows(g.size):
+        yield decode(compress(spec, np.broadcast_to(g, (rows.size, g.size)),
+                              stream_keys(0, 0, rows, StreamPurpose.COMPRESSOR)))
 
 
 def _certify_randk(spec: CompressorSpec, dim: int) -> List[str]:
@@ -388,17 +365,17 @@ def _certify_randk(spec: CompressorSpec, dim: int) -> List[str]:
                      f"|E||C(g)||^2 - beta*||g||^2| = {worst_second:.3g}")
     else:
         g = rng.standard_normal(dim)
-        n = 10_000
+        n = _TRIALS
         acc = np.zeros(dim)
         second = 0.0
-        for r in range(n):
-            v = decode(compress(spec, g[None, :],
-                                stream_keys(0, 0, r, StreamPurpose.COMPRESSOR)))[0]
-            acc += v / n
-            second += float(v @ v) / n
+        for V in _compressed_trials(spec, g):
+            # running sums in trial order: acc row first, then the block's rows
+            acc = np.vstack([acc, V / n]).sum(axis=0)
+            second = sum((float(v @ v) / n for v in V), second)
         lines.append(f"  Monte-Carlo ({n} trials): max |mean - g| = "
                      f"{float(np.abs(acc - g).max()):.3g}, "
                      f"E||C(g)||^2 / (beta*||g||^2) = {second / (beta * float(g @ g)):.4f}")
+    lines.append(f"  implied delta (scaled operator) = {estimate_delta(spec, dim):.12g}")
     return lines
 
 
@@ -412,10 +389,10 @@ def _certify_topk(spec: CompressorSpec, dim: int) -> List[str]:
                  f"{float(err @ err):.12g} = (1-delta)*||g||^2 = {(1 - delta) * dim:.12g}")
     rng = np.random.default_rng(1)
     worst = 0.0
-    for _ in range(10_000):
-        g = rng.standard_normal(dim)
-        err = decode(compress(spec, g[None, :]))[0] - g
-        worst = max(worst, float(err @ err) / float(g @ g))
+    for rows in _trial_rows(dim):
+        G = rng.standard_normal((rows.size, dim))
+        E = decode(compress(spec, G)) - G
+        worst = max([worst, *(float(e @ e) / float(g @ g) for e, g in zip(E, G))])
     lines.append(f"  10000 random vectors: max ||C(g)-g||^2/||g||^2 = {worst:.6f} "
                  f"<= 1-delta = {1 - delta:.6f}")
     return lines
@@ -445,31 +422,24 @@ def _certify_qsgd(spec: CompressorSpec, dim: int) -> List[str]:
             worst = max(worst, float(np.abs(mean - g).max()))
         lines.append(f"  exact outcome enumeration: max |E[C(g)] - g| = {worst:.3g}")
     g = rng.standard_normal(dim)
-    n = 10_000
+    n = _TRIALS
     second = 0.0
-    for r in range(n):
-        v = decode(compress(spec, g[None, :],
-                            stream_keys(0, 0, r, StreamPurpose.COMPRESSOR)))[0]
-        second += float(v @ v) / n
+    for V in _compressed_trials(spec, g):
+        second = sum((float(v @ v) / n for v in V), second)
     lines.append(f"  Monte-Carlo ({n} trials): E||C(g)||^2 / (beta*||g||^2) = "
                  f"{second / (beta * float(g @ g)):.4f} (<= 1 expected)")
     return lines
 
 
 def cmd_certify(args) -> int:
-    try:
-        spec = CompressorSpec(kind=CompressorKind(args.kind),
-                              k_fraction=args.k_fraction,
-                              s_levels=args.s_levels,
-                              layerwise=args.layerwise)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.dim < 1:
+        raise ValueError(f"dim must be >= 1, got {args.dim}")
+    spec = CompressorSpec(kind=args.kind, k_fraction=args.k_fraction,
+                          s_levels=args.s_levels, layerwise=args.layerwise)
     if spec.kind is CompressorKind.IDENTITY:
         lines = ["identity: beta = 1, delta = 1 (exact, no compression error)"]
     elif spec.kind is CompressorKind.RANDK:
         lines = _certify_randk(spec, args.dim)
-        lines.append(f"  implied delta (scaled operator) = {estimate_delta(spec, args.dim):.12g}")
     elif spec.kind is CompressorKind.TOPK:
         lines = _certify_topk(spec, args.dim)
     else:
@@ -479,12 +449,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    metrics = Path(args.run_dir) / "metrics.csv"
-    if not metrics.exists():
-        print(f"error: {metrics} not found", file=sys.stderr)
-        return 1
-    results = read_metrics_csv(metrics)
-    summary = _summarize(results)
+    summary = _summarize(_read_metrics(Path(args.run_dir) / "metrics.csv"))
     text = json.dumps(summary, indent=2, sort_keys=True)
     if args.output:
         Path(args.output).write_text(text + "\n")
@@ -524,8 +489,10 @@ def main(argv=None) -> int:
     p_cert.add_argument("--kind", required=True,
                         choices=[k.value for k in CompressorKind])
     p_cert.add_argument("--dim", type=int, required=True)
-    p_cert.add_argument("--k-fraction", type=float, default=1.0, dest="k_fraction")
-    p_cert.add_argument("--s-levels", type=int, default=1, dest="s_levels")
+    p_cert.add_argument("--k-fraction", type=float, default=_default("k_fraction"),
+                        dest="k_fraction")
+    p_cert.add_argument("--s-levels", type=int, default=_default("s_levels"),
+                        dest="s_levels")
     p_cert.add_argument("--layerwise", action="store_true")
 
     p_export = sub.add_parser("export", help="summarize a run directory as JSON")
@@ -535,7 +502,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {"run": cmd_run, "verify": cmd_verify,
                "certify": cmd_certify, "export": cmd_export}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (OSError, ValueError) as exc:
+        # ConfigError, VerifierError and UnicodeDecodeError are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

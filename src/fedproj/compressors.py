@@ -78,7 +78,7 @@ class CompressorKind(str, Enum):
 
 @dataclass(frozen=True)
 class CompressorSpec:
-    kind: CompressorKind
+    kind: CompressorKind = CompressorKind.IDENTITY
     k_fraction: float = 1.0
     s_levels: int = 1
     layerwise: bool = False

@@ -90,8 +90,6 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-DIVERGENCE_THRESHOLD = 1e12
-
 CSV_COLUMNS = [
     "seed", "round", "loss", "loss_gap", "grad_norm_sq", "dist_to_opt_sq",
     "err_mean_sq", "err_norm", "uplink_bits", "downlink_bits",
@@ -104,7 +102,7 @@ class ObjectiveConfig:
     """Declarative objective description; :func:`build_objective` turns it into
     the objective, once per command (see the module docstring)."""
 
-    kind: ObjectiveKind
+    kind: ObjectiveKind = ObjectiveKind.QUADRATIC
     d: int = 2
     clients: int = 2
     # quadratic
@@ -155,7 +153,7 @@ class RunConfig:
     seeds: Tuple[int, ...] = (0,)
     cadence: int = 1
     cost_model: CostModel = DEFAULT_COST_MODEL
-    divergence_threshold: float = DIVERGENCE_THRESHOLD
+    divergence_threshold: float = 1e12
 
     def __post_init__(self):
         if self.rounds < 0:
@@ -190,7 +188,6 @@ class SeedResult:
     seed: int
     rows: List[RoundMetrics]
     diverged_at: Optional[int] = None
-    w_final: Optional[np.ndarray] = None
 
 
 def _metrics_row(obj, t, w_arr, clients, up_bits, down_bits, cum_up,
@@ -250,7 +247,7 @@ def run_seed(config: RunConfig, obj: FederatedObjective, seed: int) -> SeedResul
                 diverged_at = t + 1
                 break
 
-    return SeedResult(seed, rows, diverged_at, server.w.copy())
+    return SeedResult(seed, rows, diverged_at)
 
 
 # set by the pool's initializer, in worker processes only
@@ -655,8 +652,7 @@ def read_metrics_csv(path) -> List[SeedResult]:
     per_seed: Dict[int, List[RoundMetrics]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_COLUMNS:
+        if next(reader, None) != CSV_COLUMNS:
             raise ValueError("unrecognized metrics CSV header")
         for row in reader:
             seed = int(row[0])
@@ -668,4 +664,6 @@ def read_metrics_csv(path) -> List[SeedResult]:
                 uplink_bits=int(row[8]), downlink_bits=int(row[9]),
                 cum_uplink_bits=int(row[10]), cum_downlink_bits=int(row[11]))
             per_seed.setdefault(seed, []).append(m)
+    if not per_seed:
+        raise ValueError("no metrics rows")
     return [SeedResult(seed, rows) for seed, rows in sorted(per_seed.items())]

@@ -10,18 +10,23 @@ that means to alter them regenerates the digests with
     PYTHONPATH=src python tests/test_bit_identity.py --regenerate
 
 and says which digests changed and why.  The last bits of ``np.log``,
-``np.cos`` and friends may differ between builds, so the digests are pinned
-to the python, numpy and scipy versions that made them.
+``np.cos`` and friends may differ between builds and between the SIMD targets
+numpy dispatches to, and BLAS sums in a kernel-dependent order, so the digests
+are pinned to the python, numpy and scipy versions, numpy's enabled dispatch
+targets and the OpenBLAS core that made them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import itertools
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -133,9 +138,31 @@ def _cases():
 CASES = _cases()
 
 
+def _numpy_dispatch() -> str:
+    """numpy's dispatch targets that this CPU enables, e.g. ``X86_V3, X86_V4``."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return ", ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+
+def _openblas_core() -> str:
+    """The kernel core of numpy's bundled OpenBLAS (``OPENBLAS_CORETYPE``
+    overrides it), or ``unknown``."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__, "numpy_dispatch": _numpy_dispatch(),
+            "openblas_core": _openblas_core()}
 
 
 def run_case(name: str, root: Path) -> dict:
@@ -192,6 +219,24 @@ def test_version_mismatch_names_the_regenerate_command(monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "environment", lambda: {"numpy": "0.0"})
     with pytest.raises(pytest.fail.Exception, match="regenerate them with: PYTHONPATH=src"):
         load_digests()
+
+
+def test_another_blas_core_fails_on_the_environment():
+    """Under another OpenBLAS core a case fails on the recorded environment,
+    naming both, not on its digests."""
+    if environment()["openblas_core"] == "unknown":
+        pytest.skip("numpy's OpenBLAS does not report its core")
+    recorded = json.loads(DIGESTS.read_text())["environment"]
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": str(root / "src")}
+    case = f"{Path(__file__).name}::test_outputs_are_bit_identical[quad-projfl-randk-K1]"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           case], cwd=Path(__file__).parent, env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode != 0
+    assert f"bit-identity digests were made with {recorded}, this is {{" in proc.stdout
+    assert "'openblas_core': 'Haswell'" in proc.stdout
+    assert "changed files" not in proc.stdout
 
 
 def regenerate():

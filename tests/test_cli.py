@@ -5,12 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedproj.cli
 import fedproj.harness
 from fedproj.cli import main
+from fedproj.compressors import CompressorSpec, compress, decode
 from fedproj.harness import build_objective, eta_cap, loosest_eta_cap
+from fedproj.vectors import StreamPurpose, stream_keys
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -195,6 +198,13 @@ class TestDefinedExits:
         summary = json.loads((tmp_path / "c" / "summary.json").read_text())
         assert [s["diverged_at"] for s in summary["per_seed"]] == [2, 2]
 
+    def test_export_of_a_run_is_its_summary(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=3, seeds="0:2")
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 0
+        exported = tmp_path / "export.json"
+        assert main(["export", str(tmp_path / "c"), "--output", str(exported)]) == 0
+        assert exported.read_bytes() == (tmp_path / "c" / "summary.json").read_bytes()
+
     @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.1"]])
     def test_missing_config_is_one_line_exit_1(self, tmp_path, capsys, command):
         missing = tmp_path / "absent.cfg"
@@ -204,12 +214,117 @@ class TestDefinedExits:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
 
 
+class TestRefusedInputs:
+    """Inputs that once ended in a traceback: one stderr line, exit 1, and
+    nothing written."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n1,2\n", "unrecognized metrics CSV header"),
+        ("", "unrecognized metrics CSV header"),
+        (",".join(fedproj.harness.CSV_COLUMNS) + "\n", "no metrics rows"),
+    ], ids=["foreign-header", "empty", "header-only"])
+    def test_export_of_a_foreign_csv(self, tmp_path, capsys, text, message):
+        metrics = tmp_path / "d" / "metrics.csv"
+        metrics.parent.mkdir()
+        metrics.write_text(text)
+        summary = tmp_path / "summary.json"
+        assert main(["export", str(metrics.parent), "--output", str(summary)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot read {metrics}: {message}\n")
+        assert not summary.exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.1"]])
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"name = c\n\xff\xfe = 1\n")
+        argv = [command[0], str(cfg), *command[1:], "--out", str(tmp_path), "--jobs", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not UTF-8 text: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_out_that_is_a_regular_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=2)
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        assert main(["run", str(cfg), "--out", str(blocker), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
+        assert sorted(tmp_path.iterdir()) == [blocker, cfg] and blocker.read_text() == ""
+
+    @pytest.mark.parametrize("kind", ["identity", "randk", "topk", "qsgd"])
+    def test_certify_dim_below_1(self, capsys, kind):
+        assert main(["certify", "--kind", kind, "--dim", "0"]) == 1
+        assert capsys.readouterr() == ("", "error: dim must be >= 1, got 0\n")
+
+
+class TestCertify:
+    """The certificates and their evidence, byte for byte; d=120 draws its
+    10 000 trials in two blocks of rows."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["randk", "5", "--k-fraction", "0.4"],
+         "randk d=5 k_eff=2: beta = 2.5\n"
+         "  exhaustive enumeration over all 10 subsets: max |E[C(g)] - g| = 0, "
+         "|E||C(g)||^2 - beta*||g||^2| = 0\n"
+         "  implied delta (scaled operator) = 0.4\n"),
+        (["randk", "50", "--k-fraction", "0.25"],
+         "randk d=50 k_eff=13: beta = 3.84615384615\n"
+         "  Monte-Carlo (10000 trials): max |mean - g| = 0.0426, "
+         "E||C(g)||^2 / (beta*||g||^2) = 0.9952\n"
+         "  implied delta (scaled operator) = 0.26\n"),
+        (["randk", "120", "--k-fraction", "0.1"],
+         "randk d=120 k_eff=12: beta = 10\n"
+         "  Monte-Carlo (10000 trials): max |mean - g| = 0.0802, "
+         "E||C(g)||^2 / (beta*||g||^2) = 1.0002\n"
+         "  implied delta (scaled operator) = 0.1\n"),
+        (["topk", "50", "--k-fraction", "0.25"],
+         "topk d=50 k_eff=13: delta = 0.26\n"
+         "  worst-case witness (all-equal magnitudes): ||C(g)-g||^2 = 37 = "
+         "(1-delta)*||g||^2 = 37\n"
+         "  10000 random vectors: max ||C(g)-g||^2/||g||^2 = 0.449388 "
+         "<= 1-delta = 0.740000\n"),
+        (["topk", "120", "--k-fraction", "0.1"],
+         "topk d=120 k_eff=12: delta = 0.1\n"
+         "  worst-case witness (all-equal magnitudes): ||C(g)-g||^2 = 108 = "
+         "(1-delta)*||g||^2 = 108\n"
+         "  10000 random vectors: max ||C(g)-g||^2/||g||^2 = 0.699054 "
+         "<= 1-delta = 0.900000\n"),
+        (["qsgd", "3", "--s-levels", "2"],
+         "qsgd d=3 s=2: beta bound = 1 + min(d/s^2, sqrt(d)/s) = 1.75\n"
+         "  exact outcome enumeration: max |E[C(g)] - g| = 0\n"
+         "  Monte-Carlo (10000 trials): E||C(g)||^2 / (beta*||g||^2) = 0.6480 "
+         "(<= 1 expected)\n"),
+        (["qsgd", "50", "--s-levels", "2"],
+         "qsgd d=50 s=2: beta bound = 1 + min(d/s^2, sqrt(d)/s) = 4.53553390593\n"
+         "  Monte-Carlo (10000 trials): E||C(g)||^2 / (beta*||g||^2) = 0.6341 "
+         "(<= 1 expected)\n"),
+        (["identity", "4"], "identity: beta = 1, delta = 1 (exact, no compression error)\n"),
+    ], ids=["randk-5", "randk-50", "randk-120", "topk-50", "topk-120", "qsgd-3", "qsgd-50",
+            "identity"])
+    def test_stdout(self, capsys, argv, text):
+        assert main(["certify", "--kind", argv[0], "--dim", *argv[1:]]) == 0
+        assert capsys.readouterr() == (text, "")
+
+    @pytest.mark.parametrize("kind", ["randk", "qsgd"])
+    def test_trial_rows_match_one_compress_per_trial(self, kind):
+        spec = CompressorSpec(kind, k_fraction=0.1, s_levels=3)
+        g = np.random.default_rng(0).standard_normal(120)
+        rows = np.concatenate(list(fedproj.cli._compressed_trials(spec, g)))
+        loop = [decode(compress(spec, g[None, :],
+                                stream_keys(0, 0, r, StreamPurpose.COMPRESSOR)))[0]
+                for r in range(len(rows))]
+        assert len(rows) == 10_000 and np.array_equal(rows, loop)
+
+
 class TestEtaCapWarning:
     """``run`` warns on stderr when eta exceeds the cap of every verifier item
     that applies to the run, and runs anyway."""
 
     WARNING = ("warning: eta={} exceeds the loosest applicable convergence-bound cap {}; "
                "running anyway\n")
+    DIANA_WARNING = ("warning: diana_alpha={} exceeds 1/beta = {}, the largest memory step "
+                     "the diana theory admits; running anyway\n")
+    DIANA = dict(dim=8, clients=3, centers="random", compressor="randk", k_fraction=0.25)
 
     @pytest.mark.parametrize("values, warning", [
         # axis_pair quadratic, identity: caps 1.0 (t1.1), 0.5 (t1.2), 1.0 (t1.3)
@@ -225,7 +340,16 @@ class TestEtaCapWarning:
          WARNING.format(0.5, "0.0625")),
         (dict(algorithm="projfl_ef", compressor="randk", k_fraction=0.5, eta=0.5), ""),
         (dict(algorithm="fedavg", eta=1.5), ""),
-    ], ids=["quad-above", "quad-at-cap", "mlp", "logistic", "topk-ef", "randk-ef", "fedavg"])
+        # diana's memory step: randk 25 % of 8 has beta = 4, qsgd s=1 at d=8 beta = 1 + sqrt(8)
+        (dict(DIANA, algorithm="diana"), DIANA_WARNING.format(0.9, "0.25")),
+        (dict(DIANA, algorithm="diana", diana_alpha=0.25), ""),
+        (dict(DIANA, algorithm="diana_gamma", compressor="qsgd"),
+         DIANA_WARNING.format(0.9, "0.261204")),
+        (dict(DIANA, algorithm="diana", compressor="topk"), ""),     # no beta certificate
+        (dict(algorithm="diana"), ""),                                # identity: beta = 1
+    ], ids=["quad-above", "quad-at-cap", "mlp", "logistic", "topk-ef", "randk-ef", "fedavg",
+            "diana-randk", "diana-randk-at-bound", "diana_gamma-qsgd", "diana-topk",
+            "diana-identity"])
     def test_warning_on_stderr_exit_0(self, tmp_path, capsys, values, warning):
         cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=3, **values)
         assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 0

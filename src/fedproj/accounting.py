@@ -6,12 +6,14 @@ extra transmitted scalar costs ``scalar_bits``.  The server broadcast is
 delta-encoded: only coordinates of the new model whose float32 image differs
 bit-for-bit from the previous broadcast are sent, as value+index pairs.
 
-:func:`message_bits` is the one cost model of an upload; it returns one count
-per row (client) of a batched message.  ``serialize_message`` /
-``deserialize_message`` give each row a canonical byte form whose length
-equals ``ceil(message_bits / 8)`` under the default cost model with zero
-header bits; quantized payloads are genuinely bit-packed (sign bits then
-fixed-width levels, MSB first).
+:func:`message_bits` is the one cost model of an upload: it takes a payload
+from ``compressors.compress`` and returns one count per row (client).
+``serialize_message`` / ``deserialize_message`` give each row a canonical
+byte form whose length equals ``ceil(message_bits / 8)`` under the default
+cost model with zero header bits, so every charged bit is one a receiver
+can decode.  Quantized rows are bit-packed with ``np.packbits``: the sign
+bits, then each level in ``_level_bits`` bits, MSB first, zero-padded to a
+whole byte.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .compressors import (
-    CompressedMessage,
-    DensePayload,
-    QuantizedPayload,
-    SparsePayload,
-)
+from .compressors import DensePayload, Payload, QuantizedPayload, SparsePayload
 
 __all__ = [
     "IndexBitsMode",
@@ -76,25 +73,22 @@ def _level_bits(s_levels: int) -> int:
     return max(1, math.ceil(math.log2(s_levels + 1)))
 
 
-def message_bits(model: CostModel, msg: CompressedMessage,
+def message_bits(model: CostModel, payload: Payload,
                  extra_scalars: int = 0) -> np.ndarray:
-    """Wire cost of each row (client upload) of ``msg`` under ``model``, as int64.
+    """Wire cost of each row (client upload) of ``payload`` under ``model``, as int64.
 
     ``extra_scalars`` counts side-channel scalars sent with each row (the
     projection coefficients of the projecting algorithms).  A quantized row
     with norm 0 is an empty message: it costs no payload bits.
     """
-    payload = msg.payload
-    if isinstance(payload, DensePayload):
-        body = np.full(msg.rows, msg.dim * model.value_bits)
-    elif isinstance(payload, SparsePayload):
-        body = np.full(msg.rows, payload.indices.shape[1] *
-                       (model.value_bits + index_bits(model, msg.dim)))
-    elif isinstance(payload, QuantizedPayload):
-        full = model.value_bits + msg.dim + msg.dim * _level_bits(payload.s_levels)
+    if isinstance(payload, QuantizedPayload):
+        full = model.value_bits + payload.dim * (1 + _level_bits(payload.s_levels))
         body = np.where(payload.norm == 0.0, 0, full)
-    else:  # pragma: no cover - exhaustive payload kinds
-        raise TypeError(f"unknown payload {type(payload)}")
+    else:  # one value, and for a sparse payload one index, per kept coordinate
+        per_value = model.value_bits
+        if isinstance(payload, SparsePayload):
+            per_value += index_bits(model, payload.dim)
+        body = np.full(payload.values.shape[0], payload.values.shape[1] * per_value)
     return body.astype(np.int64) + (model.header_bits + extra_scalars * model.scalar_bits)
 
 
@@ -113,46 +107,14 @@ def downlink_bits(model: CostModel, w_prev, w_next) -> int:
     return n * (model.value_bits + index_bits(model, len(w_prev))) + model.header_bits
 
 
-class _BitWriter:
-    def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, nbits: int):
-        if nbits and value >> nbits:
-            raise ValueError(f"value {value} does not fit in {nbits} bits")
-        self._acc = (self._acc << nbits) | value
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._out.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def getvalue(self) -> bytes:
-        if self._nbits:
-            return bytes(self._out) + bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-        return bytes(self._out)
+def _level_shifts(s_levels: int) -> np.ndarray:
+    """Bit positions of a level, most significant first."""
+    return np.arange(_level_bits(s_levels) - 1, -1, -1)
 
 
-class _BitReader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def read(self, nbits: int) -> int:
-        out = 0
-        for _ in range(nbits):
-            byte = self._data[self._pos >> 3]
-            out = (out << 1) | ((byte >> (7 - (self._pos & 7))) & 1)
-            self._pos += 1
-        return out
-
-
-def serialize_message(msg: CompressedMessage, row: int = 0) -> bytes:
+def serialize_message(payload: Payload, row: int = 0) -> bytes:
     """Canonical bytes of one row; length == ceil(message_bits/8) under the
     default model."""
-    payload = msg.payload
     if isinstance(payload, DensePayload):
         return np.asarray(payload.values[row], dtype="<f4").tobytes()
     if isinstance(payload, SparsePayload):
@@ -160,46 +122,48 @@ def serialize_message(msg: CompressedMessage, row: int = 0) -> bytes:
                 + np.asarray(payload.indices[row], dtype="<u4").tobytes())
     if payload.norm[row] == 0.0:
         return b""
-    writer = _BitWriter()
-    for s in payload.signs[row]:
-        writer.write(int(s), 1)
-    lb = _level_bits(payload.s_levels)
-    for lev in payload.levels[row]:
-        writer.write(int(lev), lb)
-    return struct.pack("<f", payload.norm[row]) + writer.getvalue()
+    level_bits = (payload.levels[row][:, None] >> _level_shifts(payload.s_levels)) & 1
+    bits = np.concatenate([payload.signs[row], level_bits.ravel()])
+    return struct.pack("<f", payload.norm[row]) + np.packbits(bits).tobytes()
 
 
 def deserialize_message(data: bytes, kind: str, dim: int,
                         n_values: Optional[int] = None,
-                        s_levels: Optional[int] = None) -> CompressedMessage:
-    """Inverse of :func:`serialize_message`: a one-row message.
+                        s_levels: Optional[int] = None) -> Payload:
+    """Inverse of :func:`serialize_message`: a one-row payload.
 
     The wire format carries no header, so the receiver supplies the payload
     ``kind`` (``dense``/``sparse``/``quantized``) and its shape parameters.
-    Values come back at float32 precision.
+    Bytes that are not the canonical length are refused.  Values come back
+    at float32 precision.
     """
     if kind == "dense":
-        values = np.frombuffer(data, dtype="<f4", count=dim).astype(np.float64)
-        payload = DensePayload(values[None, :])
+        expected = 4 * dim
     elif kind == "sparse":
         if n_values is None:
             raise ValueError("sparse deserialization needs n_values")
-        values = np.frombuffer(data, dtype="<f4", count=n_values).astype(np.float64)
-        indices = np.frombuffer(data, dtype="<u4", count=n_values,
-                                offset=4 * n_values).astype(np.int64)
-        payload = SparsePayload(indices[None, :], values[None, :])
+        expected = 8 * n_values
     elif kind == "quantized":
         if s_levels is None:
             raise ValueError("quantized deserialization needs s_levels")
-        norm, signs, levels = 0.0, np.zeros(dim, np.uint8), np.zeros(dim, np.int64)
-        if data:
-            norm = struct.unpack("<f", data[:4])[0]
-            reader = _BitReader(data[4:])
-            signs = np.array([reader.read(1) for _ in range(dim)], dtype=np.uint8)
-            lb = _level_bits(s_levels)
-            levels = np.array([reader.read(lb) for _ in range(dim)], dtype=np.int64)
-        payload = QuantizedPayload(np.array([norm]), signs[None, :], levels[None, :],
-                                   s_levels)
+        n_bits = dim * (1 + _level_bits(s_levels))
+        expected = 4 + -(-n_bits // 8) if data else 0  # b"" is the empty message
     else:
         raise ValueError(f"unknown payload kind {kind!r}")
-    return CompressedMessage(payload, dim)
+    if len(data) != expected:
+        raise ValueError(f"a {kind} message of dim {dim} is {expected} bytes, got {len(data)}")
+
+    if kind == "dense":
+        return DensePayload(np.frombuffer(data, dtype="<f4").astype(np.float64)[None, :])
+    if kind == "sparse":
+        values = np.frombuffer(data, dtype="<f4", count=n_values).astype(np.float64)
+        indices = np.frombuffer(data, dtype="<u4", offset=4 * n_values).astype(np.int64)
+        return SparsePayload(indices[None, :], values[None, :], dim)
+    norm, signs, levels = 0.0, np.zeros(dim, np.uint8), np.zeros(dim, np.int64)
+    if data:
+        norm = struct.unpack("<f", data[:4])[0]
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=4), count=n_bits)
+        signs = bits[:dim]
+        shifts = _level_shifts(s_levels)
+        levels = bits[dim:].reshape(dim, shifts.size) @ (1 << shifts)
+    return QuantizedPayload(np.array([norm]), signs[None, :], levels[None, :], s_levels)

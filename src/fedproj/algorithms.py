@@ -8,23 +8,23 @@ model.  What varies is the client-side bookkeeping:
 * ``projfl``       -- project the gradient onto the running average of the
   client's last ``K`` descent directions, send the projection coefficient
   plus the compressed orthogonal remainder; the direction update is
-  ``D' = alpha * Dbar + decode(msg)`` and the server steps by ``eta/M``.
+  ``D' = alpha * Dbar + decode(payload)`` and the server steps by ``eta/M``.
 * ``projfl_ef``    -- same projection, but the learning rate is folded into
-  the direction (``D' = eta*alpha*Dbar + msg``), the compressor input carries
+  the direction (``D' = eta*alpha*Dbar + decoded``), the compressor input carries
   the accumulated error (``C(eta*g_perp + e)``), and the server steps by
   ``1/M``.
 * ``fedavg``       -- compress the raw gradient, stateless.
 * ``ef``           -- classic error feedback: compress ``g + zeta * e``.
 * ``ef21`` / ``ef21_gamma`` -- compress the difference to the (damped)
-  previous direction: ``C(g - gamma * D)``, ``D' = gamma * D + msg``.
+  previous direction: ``C(g - gamma * D)``, ``D' = gamma * D + decoded``.
 * ``diana`` / ``diana_gamma`` -- compress the difference to a (damped) memory
   ``h`` that both sides advance; the server adds momentum
-  ``D' = beta * D + gamma * h + mean(msg)`` and steps by ``eta``.
+  ``D' = beta * D + gamma * h + mean(decoded)`` and steps by ``eta``.
 
 The engine holds the state of all ``M`` clients as rows of arrays and runs a
 round as one computation over them.  :func:`client_round` turns the ``(M, d)``
-gradient rows into one batched :class:`ClientUpload` (a message with a row
-per client, plus each row's projection coefficient) and updates
+gradient rows into one batched :class:`ClientUpload` (the compressor's
+payload, a row per client, plus each row's projection coefficient) and updates
 :class:`Clients` in place; :func:`server_round` decodes that upload itself
 and steps :class:`Server`.  State layout:
 
@@ -42,7 +42,7 @@ clients computes.
 
 The projecting and difference-compressing families need the server to hold a
 bit-exact mirror of each client's direction state.  The server rebuilds its
-own mirror from the ``(coefficient, message)`` pairs with the same code the
+own mirror from the ``(coefficient, payload row)`` pairs with the same code the
 clients run, so the mirror never drifts; :func:`assert_mirror` compares the
 two bit for bit every round.
 """
@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from . import backend
-from .compressors import CompressedMessage, CompressorSpec, compress, decode
+from .compressors import CompressorSpec, Payload, compress, decode
 
 __all__ = [
     "AlgorithmKind",
@@ -197,10 +197,10 @@ class Server:
 
 @dataclass(frozen=True)
 class ClientUpload:
-    """One round's uploads: a message row and (projecting kinds) a
+    """One round's uploads: a payload row and (projecting kinds) a
     coefficient row per client, ``(M,)`` flat or ``(M, layers)`` per layer."""
 
-    msg: CompressedMessage
+    msg: Payload
     coeff: Optional[np.ndarray] = None
 
     @property
@@ -286,11 +286,11 @@ def server_round(cfg: AlgorithmConfig, server: Server, upload: ClientUpload,
     ``layer_partition`` is only consulted when the upload carries per-layer
     projection coefficients (layerwise projection enabled).
     """
-    if upload.msg.rows != server.n_clients:
-        raise ValueError(f"expected {server.n_clients} uploads, got {upload.msg.rows}")
+    decoded = decode(upload.msg)
+    if len(decoded) != server.n_clients:
+        raise ValueError(f"expected {server.n_clients} uploads, got {len(decoded)}")
     kind = cfg.kind
     server.round_index += 1
-    decoded = decode(upload.msg)
 
     if kind in _PROJECTING:
         dbar = server.mirror_history.mean()

@@ -303,7 +303,6 @@ def cmd_verify(args) -> int:
     if args.item not in VERIFY_ITEMS:
         raise ValueError(f"unknown item {args.item!r} (choose from {', '.join(VERIFY_ITEMS)})")
     values, config, obj = _load(args.config)
-    out = _resolve_out_dir(values, args.out)
     # misuse and SKIPPED need only the config and the objective: no run
     report = precheck(args.item, obj, config)
     if report is None:
@@ -313,8 +312,11 @@ def cmd_verify(args) -> int:
                                  f"effective_config.cfg next to it is missing or differs)")
             results = _read_metrics(args.reuse)
         else:
-            results = _run_and_save(args.jobs, values, config, obj, out)
+            results = _run_and_save(args.jobs, values, config, obj,
+                                    _resolve_out_dir(values, args.out))
         report = verify(args.item, results, obj, config)
+    # only now is there a report to write: a refused invocation makes no directory
+    out = _resolve_out_dir(values, args.out)
     report_path = out / f"report_{args.item.replace('.', '_')}.json"
     report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     print(f"{args.item}: {report.status} ({report.reason})")

@@ -1,10 +1,12 @@
 """Compression operators mapping the clients' vectors to compact wire messages.
 
 :func:`compress` takes one vector per client as the rows of an ``(R, d)``
-array and returns one :class:`CompressedMessage` whose payload arrays carry
-a leading row axis; row ``r`` is client ``r``'s upload.  Random kinds draw
-row ``r`` from the stream keyed ``keys[r]``.  :func:`decode` returns the
-``(R, d)`` rows the message encodes.  What a message costs on the wire is
+array and returns one payload (:class:`DensePayload`, :class:`SparsePayload`
+or :class:`QuantizedPayload`) whose arrays carry a leading row axis; row
+``r`` is client ``r``'s upload.  Random kinds draw row ``r`` from the stream
+keyed ``keys[r]``.  Each payload checks its arrays once, when it is built,
+and nothing writes into them afterwards.  :func:`decode` returns the
+``(R, d)`` rows a payload encodes.  What a payload costs on the wire is
 ``accounting.message_bits``.
 
 Four kinds are supported:
@@ -55,7 +57,7 @@ __all__ = [
     "DensePayload",
     "SparsePayload",
     "QuantizedPayload",
-    "CompressedMessage",
+    "Payload",
     "compress",
     "decode",
     "estimate_beta",
@@ -102,17 +104,24 @@ def k_eff(k_fraction: float, layer_dim: int) -> int:
 class DensePayload:
     values: np.ndarray  # (R, d)
 
+    @property
+    def dim(self) -> int:
+        return self.values.shape[1]
+
 
 @dataclass(frozen=True)
 class SparsePayload:
-    indices: np.ndarray  # (R, k) int64, each row strictly increasing
+    indices: np.ndarray  # (R, k) int64, each row strictly increasing, < dim
     values: np.ndarray   # (R, k)
+    dim: int
 
     def __post_init__(self):
         if self.indices.shape != self.values.shape:
             raise ValueError("sparse indices and values must have equal shapes")
         if np.any(np.diff(self.indices, axis=1) <= 0):
             raise ValueError("sparse indices must be strictly increasing")
+        if self.indices.size and self.indices.max() >= self.dim:
+            raise ValueError("sparse index out of range")
 
 
 @dataclass(frozen=True)
@@ -130,38 +139,22 @@ class QuantizedPayload:
             raise ValueError("quantized norm must be >= 0")
         if self.signs.shape != self.levels.shape or self.norm.shape != self.levels.shape[:1]:
             raise ValueError("norm, signs and levels must have matching shapes")
-        if self.levels.size and (self.levels.min() < 0 or self.levels.max() > self.s_levels):
-            raise ValueError(f"levels must lie in [0, {self.s_levels}]")
+        if self.levels.size and (self.levels.min() < 0 or self.levels.max() > self.s_levels
+                                 or self.signs.max() > 1):
+            raise ValueError(f"levels must lie in [0, {self.s_levels}] and signs in {{0, 1}}")
+
+    @property
+    def dim(self) -> int:
+        return self.levels.shape[1]
 
 
 Payload = Union[DensePayload, SparsePayload, QuantizedPayload]
 
 
-@dataclass(frozen=True)
-class CompressedMessage:
-    payload: Payload
-    dim: int
-
-    def __post_init__(self):
-        if isinstance(self.payload, DensePayload):
-            if self.payload.values.shape[1] != self.dim:
-                raise ValueError("dense payload length must equal dim")
-        elif isinstance(self.payload, SparsePayload):
-            if self.payload.indices.size and self.payload.indices.max() >= self.dim:
-                raise ValueError("sparse index out of range")
-        elif isinstance(self.payload, QuantizedPayload):
-            if self.payload.levels.shape[1] != self.dim:
-                raise ValueError("quantized payload length must equal dim")
-
-    @property
-    def rows(self) -> int:
-        p = self.payload
-        return (p.levels if isinstance(p, QuantizedPayload) else p.values).shape[0]
-
-
 def compress(spec: CompressorSpec, x: np.ndarray, keys=None,
-             layer_partition: Optional[LayerPartition] = None) -> CompressedMessage:
-    """Apply the operator to every row of ``x`` and package the result.
+             layer_partition: Optional[LayerPartition] = None) -> Payload:
+    """Apply the operator to every row of ``x``; row ``r`` of the payload
+    encodes ``x[r]``.
 
     ``keys`` (one stream key per row) drive the random kinds (randk, qsgd)
     and are ignored otherwise.  ``layer_partition`` is used by the
@@ -172,7 +165,7 @@ def compress(spec: CompressorSpec, x: np.ndarray, keys=None,
     rows, d = x.shape
 
     if kind is CompressorKind.IDENTITY:
-        return CompressedMessage(DensePayload(x.copy()), d)
+        return DensePayload(x.copy())
     if keys is None and kind in (CompressorKind.RANDK, CompressorKind.QSGD):
         raise ValueError(f"{kind.value} requires stream keys")
 
@@ -184,7 +177,7 @@ def compress(spec: CompressorSpec, x: np.ndarray, keys=None,
         if live.any():
             norm[live], signs[live], levels[live] = backend.qsgd_encode(
                 x[live], spec.s_levels, keys[live], 0)
-        return CompressedMessage(QuantizedPayload(norm, signs, levels, spec.s_levels), d)
+        return QuantizedPayload(norm, signs, levels, spec.s_levels)
 
     layers = layer_partition if spec.layerwise and layer_partition else ((0, d),)
     idx_parts = []
@@ -203,23 +196,18 @@ def compress(spec: CompressorSpec, x: np.ndarray, keys=None,
             vals = (ldim / k) * np.take_along_axis(block, local, axis=1)
         idx_parts.append(local + start)
         val_parts.append(vals)
-    return CompressedMessage(SparsePayload(np.concatenate(idx_parts, axis=1),
-                                           np.concatenate(val_parts, axis=1)), d)
+    return SparsePayload(np.concatenate(idx_parts, axis=1),
+                         np.concatenate(val_parts, axis=1), d)
 
 
-def decode(msg: CompressedMessage) -> np.ndarray:
-    """The ``(R, d)`` rows a message encodes."""
-    payload = msg.payload
+def decode(payload: Payload) -> np.ndarray:
+    """The ``(R, d)`` rows a payload encodes, as a new array."""
     if isinstance(payload, DensePayload):
         return payload.values.copy()
     if isinstance(payload, SparsePayload):
-        if payload.indices.size and payload.indices.max() >= msg.dim:
-            raise ValueError("sparse index out of range")
-        out = np.zeros((payload.indices.shape[0], msg.dim))
+        out = np.zeros((payload.indices.shape[0], payload.dim))
         np.put_along_axis(out, payload.indices, payload.values, axis=1)
         return out
-    if payload.levels.max(initial=0) > payload.s_levels:
-        raise ValueError("quantization level exceeds s_levels")
     magnitudes = payload.norm[:, None] * payload.levels / payload.s_levels
     return np.where(payload.signs == 1, -magnitudes, magnitudes)
 

@@ -481,7 +481,9 @@ def verify(item: str, results: Sequence[SeedResult], obj: FederatedObjective,
     skipped = precheck(item, obj, cfg)
     if skipped is not None:
         return skipped
-    bad = [r.seed for r in results if r.diverged_at is not None]
+    # a CSV cannot record diverged_at; a seed that stopped early diverged
+    bad = [r.seed for r in results
+           if r.diverged_at is not None or r.rows[-1].round < cfg.rounds]
     if bad:
         raise VerifierError(f"seeds {bad} diverged; bounds do not apply")
     if cfg.cadence != 1:

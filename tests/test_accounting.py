@@ -124,6 +124,54 @@ class TestWireFormat:
                 raw = serialize_message(msg, row)
                 assert len(raw) == -(-int(bits[row]) // 8), spec
 
+    SHAPES = [CompressorSpec(CompressorKind.IDENTITY),
+              CompressorSpec(CompressorKind.RANDK, k_fraction=0.3),
+              CompressorSpec(CompressorKind.TOPK, k_fraction=0.3),
+              CompressorSpec(CompressorKind.RANDK, k_fraction=0.3, layerwise=True),
+              CompressorSpec(CompressorKind.TOPK, k_fraction=0.3, layerwise=True),
+              *(CompressorSpec(CompressorKind.QSGD, s_levels=s) for s in range(1, 10))]
+    WIRE_KIND = {CompressorKind.IDENTITY: "dense", CompressorKind.RANDK: "sparse",
+                 CompressorKind.TOPK: "sparse", CompressorKind.QSGD: "quantized"}
+
+    @pytest.mark.parametrize("d", [1, 7, 8, 13])
+    @pytest.mark.parametrize("spec", SHAPES, ids=lambda s: f"{s.kind.value}-{s.s_levels}"
+                             f"{'-layerwise' if s.layerwise else ''}")
+    def test_every_row_decodes_from_its_charged_bytes(self, spec, d):
+        """Level widths 1 to 4 bits, byte-aligned or not, with an all-zero row."""
+        g = np.random.default_rng(d).standard_normal((3, d))
+        g[1] = 0.0
+        part = ((0, d // 2), (d // 2, d)) if d > 1 else ((0, 1),)
+        msg = compress(spec, g, stream_keys(0, np.arange(3), 0, StreamPurpose.COMPRESSOR),
+                       part)
+        bits = message_bits(DEFAULT_COST_MODEL, msg)
+        kind = self.WIRE_KIND[spec.kind]
+        shape = dict(n_values=msg.values.shape[1] if kind == "sparse" else None,
+                     s_levels=spec.s_levels)
+        for row in range(3):
+            raw = serialize_message(msg, row)
+            assert len(raw) == -(-int(bits[row]) // 8)
+            if kind == "quantized" and msg.norm[row]:   # the layout, one bit at a time
+                width = len(format(spec.s_levels, "b"))
+                layout = "".join(f"{s}" for s in msg.signs[row]) + \
+                    "".join(f"{lev:0{width}b}" for lev in msg.levels[row])
+                layout += "0" * (-len(layout) % 8)
+                assert raw[4:] == int(layout, 2).to_bytes(len(layout) // 8, "big")
+            back = deserialize_message(raw, kind, d, **shape)
+            np.testing.assert_allclose(decode(back)[0], decode(msg)[row],
+                                       rtol=np.finfo(np.float32).eps, atol=0)
+
+    @pytest.mark.parametrize("kind, spec, shape", [
+        ("dense", CompressorSpec(CompressorKind.IDENTITY), {}),
+        ("sparse", CompressorSpec(CompressorKind.TOPK, k_fraction=0.5), dict(n_values=2)),
+        ("quantized", CompressorSpec(CompressorKind.QSGD, s_levels=3), dict(s_levels=3)),
+    ])
+    @pytest.mark.parametrize("damage", ["short", "long"])
+    def test_non_canonical_length_is_refused(self, kind, spec, shape, damage):
+        raw = serialize_message(compress(spec, rows([3.0, -4.0, 0.25, 1.0]), stream()))
+        bad = raw[:-1] if damage == "short" else raw + b"\0\0"
+        with pytest.raises(ValueError, match=f"is {len(raw)} bytes, got {len(bad)}"):
+            deserialize_message(bad, kind, 4, **shape)
+
     def test_sparse_roundtrip_float32(self):
         msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.34),
                        rows([0.0, 7.5, 0.0]))
@@ -134,9 +182,9 @@ class TestWireFormat:
         msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=3),
                        rows([3.0, -4.0, 0.25, 1.0]), stream())
         back = deserialize_message(serialize_message(msg), "quantized", 4, s_levels=3)
-        assert np.array_equal(back.payload.levels, msg.payload.levels)
-        assert np.array_equal(back.payload.signs, msg.payload.signs)
-        assert back.payload.norm[0] == pytest.approx(msg.payload.norm[0], rel=1e-7)
+        assert np.array_equal(back.levels, msg.levels)
+        assert np.array_equal(back.signs, msg.signs)
+        assert back.norm[0] == pytest.approx(msg.norm[0], rel=1e-7)
 
     def test_empty_quantized_roundtrip(self):
         msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=3), np.zeros((1, 4)),
@@ -150,7 +198,7 @@ class TestWireFormat:
         g = rows([1.0, -2.0, 3.5])
         msg = compress(CompressorSpec(CompressorKind.IDENTITY), g)
         back = deserialize_message(serialize_message(msg), "dense", 3)
-        assert np.allclose(back.payload.values, g, rtol=1e-7)
+        assert np.allclose(back.values, g, rtol=1e-7)
 
     def test_golden_bytes(self):
         """Frozen wire bytes for fixed messages."""
@@ -162,9 +210,8 @@ class TestWireFormat:
         assert serialize_message(dense) == bytes.fromhex("0000803f" "000000c0")
 
         # quantized: norm 5.0, signs (0,0), levels (1,1), s=1
-        from fedproj.compressors import CompressedMessage, QuantizedPayload
-        payload = QuantizedPayload(np.array([5.0]), np.array([[0, 0]], np.uint8),
-                                   np.array([[1, 1]], np.int64), 1)
-        qm = CompressedMessage(payload, 2)
+        from fedproj.compressors import QuantizedPayload
+        qm = QuantizedPayload(np.array([5.0]), np.array([[0, 0]], np.uint8),
+                              np.array([[1, 1]], np.int64), 1)
         # 0x40a00000 big-bit-stream then bits 0,0,1,1 -> 0b0011 << 4 = 0x30
         assert serialize_message(qm) == bytes.fromhex("0000a040" "30")

@@ -142,7 +142,7 @@ class TestClientRound:
         g = np.array([[1.0, -2.0, 0.5]])
         up = client_round(cfg, clients, g, None)
         assert up.coeff.tolist() == [0.0]
-        assert np.array_equal(up.msg.payload.values, g)
+        assert np.array_equal(up.msg.values, g)
         assert np.array_equal(newest(clients.history), g)
 
     def test_projfl_ef_identity_keeps_zero_error(self):

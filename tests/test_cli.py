@@ -94,7 +94,7 @@ class TestVerifyPrecheck:
         assert main(["verify", str(cfg), "--item", item,
                      "--out", str(tmp_path), "--jobs", "1"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert list((tmp_path / "c").iterdir()) == []
+        assert not (tmp_path / "c").exists()
 
     def test_pass_writes_metrics(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", name="c", eta=0.5, rounds=3)
@@ -432,10 +432,24 @@ class TestReproduction:
         if change == "name":    # the name alone may differ
             assert code == 0 and report.exists()
             return
-        assert code == 1 and not report.exists()
+        assert code == 1 and not (tmp_path / "b").exists()
         err = capsys.readouterr().err
         assert err == (f"error: {metrics} was not written by this config (the "
                        f"effective_config.cfg next to it is missing or differs)\n")
+
+    def test_verify_reuse_of_diverged_seeds_is_refused(self, tmp_path, capsys):
+        """The CSV has no diverged_at: seeds that stop before ``rounds`` diverged."""
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", dim=4, clients=2,
+                        compressor="identity", eta=0.5, rounds=10, seeds="0:2",
+                        divergence_threshold=0.5)
+        argv = ["verify", str(cfg), "--item", "t1.2", "--jobs", "1"]
+        message = "error: seeds [0, 1] diverged; bounds do not apply\n"
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 1
+        assert capsys.readouterr().err == message
+        metrics = tmp_path / "a" / "c" / "metrics.csv"
+        assert main(argv + ["--out", str(tmp_path / "b"), "--reuse", str(metrics)]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("damage", ["missing", "header", "truncated"])
     def test_verify_reuse_unreadable_csv_is_one_line_exit_1(self, tmp_path, capsys, damage):

@@ -11,7 +11,6 @@ from fedproj import backend
 from fedproj.accounting import DEFAULT_COST_MODEL, message_bits
 from fedproj.compressors import (
     BiasedCompressorError,
-    CompressedMessage,
     CompressorKind,
     CompressorSpec,
     DensePayload,
@@ -110,7 +109,7 @@ class TestIdentity:
     def test_roundtrip_exact(self):
         g = rows(np.linspace(-3, 4, 9))
         msg = compress(CompressorSpec(CompressorKind.IDENTITY), g)
-        assert isinstance(msg.payload, DensePayload)
+        assert isinstance(msg, DensePayload)
         assert np.array_equal(decode(msg), g)
 
     def test_bits(self):
@@ -122,22 +121,22 @@ class TestTopK:
     def test_two_largest_magnitudes(self):
         g = rows([[3.0, -1.0, 0.5, -4.0], [0.0, 1.0, -2.0, 0.5]])
         msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.5), g)
-        assert isinstance(msg.payload, SparsePayload)
-        assert msg.payload.indices.tolist() == [[0, 3], [1, 2]]
-        assert msg.payload.values.tolist() == [[3.0, -4.0], [1.0, -2.0]]
+        assert isinstance(msg, SparsePayload)
+        assert msg.indices.tolist() == [[0, 3], [1, 2]]
+        assert msg.values.tolist() == [[3.0, -4.0], [1.0, -2.0]]
 
     def test_tie_break_lowest_index(self):
         msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.5),
                        rows([2.0, -2.0, 2.0, 1.0]))
-        assert msg.payload.indices.tolist() == [[0, 1]]
+        assert msg.indices.tolist() == [[0, 1]]
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(3)
         g = rows(rng.standard_normal(40))
         spec = CompressorSpec(CompressorKind.TOPK, k_fraction=0.25)
         m1, m2 = compress(spec, g), compress(spec, g)
-        assert np.array_equal(m1.payload.indices, m2.payload.indices)
-        assert np.array_equal(m1.payload.values, m2.payload.values)
+        assert np.array_equal(m1.indices, m2.indices)
+        assert np.array_equal(m1.values, m2.values)
 
     @given(arrays(np.float64, 12, elements=st.floats(-100, 100, allow_nan=False)))
     @example(np.full(12, 42.0378369))  # all-equal magnitudes meet the bound exactly
@@ -177,15 +176,15 @@ class TestTopK:
         expected = np.concatenate([
             start + topk_oracle(raw[start:stop], k_eff(0.1, stop - start))
             for start, stop in part])
-        assert msg.payload.indices[0].tolist() == expected.tolist()
-        assert msg.payload.values[0].tolist() == raw[expected].tolist()
+        assert msg.indices[0].tolist() == expected.tolist()
+        assert msg.values[0].tolist() == raw[expected].tolist()
 
     def test_layerwise_keeps_one_per_layer(self):
         part = [(0, 3), (3, 6)]
         g = rows([5.0, 1.0, 0.0, 0.0, 0.1, 0.2])
         msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.34, layerwise=True),
                        g, layer_partition=part)
-        assert msg.payload.indices.tolist() == [[0, 5]]
+        assert msg.indices.tolist() == [[0, 5]]
 
     def test_nan_ranks_as_infinite(self):
         got = backend.topk_indices(np.array([1.0, np.nan, -3.0, np.inf, 2.0]), 3)
@@ -205,16 +204,16 @@ class TestRandK:
         g = rows([1.0, 2.0, 3.0, 4.0])
         spec = CompressorSpec(CompressorKind.RANDK, k_fraction=0.5)
         msg = compress(spec, g, stream())
-        assert isinstance(msg.payload, SparsePayload)
-        assert msg.payload.indices.shape == (1, 2)
-        assert np.allclose(msg.payload.values, 2.0 * g[0, msg.payload.indices])
+        assert isinstance(msg, SparsePayload)
+        assert msg.indices.shape == (1, 2)
+        assert np.allclose(msg.values, 2.0 * g[0, msg.indices])
 
     def test_subset_frequencies_uniform(self):
         spec = CompressorSpec(CompressorKind.RANDK, k_fraction=0.5)
         seen = {}
         n = 6000
         msg = compress(spec, np.ones((n, 4)), stream(round_index=np.arange(n)))
-        for picked in msg.payload.indices:
+        for picked in msg.indices:
             key = tuple(picked.tolist())
             seen[key] = seen.get(key, 0) + 1
         assert len(seen) == 6
@@ -240,7 +239,7 @@ class TestRandK:
         g = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
         spec = CompressorSpec(CompressorKind.RANDK, k_fraction=0.5, layerwise=True)
         msg = compress(spec, rows(g), stream(), part)
-        for idx, val in zip(msg.payload.indices[0], msg.payload.values[0]):
+        for idx, val in zip(msg.indices[0], msg.values[0]):
             expected_scale = 2.0  # both layers keep half their coordinates
             assert val == pytest.approx(expected_scale * g[idx])
 
@@ -281,14 +280,14 @@ class TestQsgd:
     def test_decode_reconstruction_by_hand(self):
         payload = QuantizedPayload(norm=np.array([5.0]), signs=np.array([[0, 1]], np.uint8),
                                    levels=np.array([[1, 1]], np.int64), s_levels=1)
-        assert decode(CompressedMessage(payload, 2)).tolist() == [[5.0, -5.0]]
+        assert decode(payload).tolist() == [[5.0, -5.0]]
 
     def test_zero_vector_short_circuit(self):
         g = np.zeros((2, 6))
         g[1, 2] = -1.5
         msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=2), g,
                        stream_keys(0, np.arange(2), 0, StreamPurpose.COMPRESSOR))
-        assert msg.payload.norm.tolist() == [0.0, 1.5]
+        assert msg.norm.tolist() == [0.0, 1.5]
         assert message_bits(DEFAULT_COST_MODEL, msg).tolist() == [0, 32 + 6 + 12]
         assert np.array_equal(decode(msg), g)
 
@@ -297,8 +296,8 @@ class TestQsgd:
         g = rows(rng.standard_normal(30))
         for s in (1, 2, 5):
             msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=s), g, stream())
-            assert msg.payload.levels.max() <= s
-            assert msg.payload.levels.min() >= 0
+            assert msg.levels.max() <= s
+            assert msg.levels.min() >= 0
 
     def test_single_nonzero_exact(self):
         g = rows([0.0, -7.0, 0.0])
@@ -368,9 +367,9 @@ class TestCertificates:
 class TestMessages:
     def test_sparse_validation(self):
         with pytest.raises(ValueError):
-            SparsePayload(np.array([[0, 2], [3, 1]], np.int64), np.ones((2, 2)))
+            SparsePayload(np.array([[0, 2], [3, 1]], np.int64), np.ones((2, 2)), 4)
         with pytest.raises(ValueError):
-            CompressedMessage(SparsePayload(np.array([[5]], np.int64), np.array([[1.0]])), 4)
+            SparsePayload(np.array([[5]], np.int64), np.array([[1.0]]), 4)
 
     def test_quantized_validation(self):
         with pytest.raises(ValueError):
@@ -379,14 +378,9 @@ class TestMessages:
         with pytest.raises(ValueError):
             QuantizedPayload(np.array([1.0]), np.zeros((1, 2), np.uint8),
                              np.array([[0, 3]], np.int64), 2)
-
-    def test_decode_bad_level(self):
-        payload = QuantizedPayload(np.array([1.0]), np.zeros((1, 2), np.uint8),
-                                   np.array([[0, 2]], np.int64), 2)
-        hacked = CompressedMessage(payload, 2)
-        payload.levels[0, 1] = 5  # corrupt after construction-time validation
         with pytest.raises(ValueError):
-            decode(hacked)
+            QuantizedPayload(np.array([1.0]), np.array([[0, 2]], np.uint8),
+                             np.zeros((1, 2), np.int64), 2)
 
     def test_sparse_bits_formula(self):
         msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.2),

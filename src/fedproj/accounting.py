@@ -134,8 +134,9 @@ def deserialize_message(data: bytes, kind: str, dim: int,
 
     The wire format carries no header, so the receiver supplies the payload
     ``kind`` (``dense``/``sparse``/``quantized``) and its shape parameters.
-    Bytes that are not the canonical length are refused.  Values come back
-    at float32 precision.
+    Bytes that are not the canonical length, and quantized bytes whose
+    padding bits are not zero, are refused.  Values come back at float32
+    precision.
     """
     if kind == "dense":
         expected = 4 * dim
@@ -162,7 +163,11 @@ def deserialize_message(data: bytes, kind: str, dim: int,
     norm, signs, levels = 0.0, np.zeros(dim, np.uint8), np.zeros(dim, np.int64)
     if data:
         norm = struct.unpack("<f", data[:4])[0]
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=4), count=n_bits)
+        packed = np.frombuffer(data, dtype=np.uint8, offset=4)
+        pad = 8 * packed.size - n_bits
+        if pad and packed[-1] & ((1 << pad) - 1):
+            raise ValueError(f"a quantized message's {pad} padding bits must be zero")
+        bits = np.unpackbits(packed, count=n_bits)
         signs = bits[:dim]
         shifts = _level_shifts(s_levels)
         levels = bits[dim:].reshape(dim, shifts.size) @ (1 << shifts)

@@ -15,7 +15,10 @@ Three suites:
 * ``logistic``: ridge-regularized logistic loss on synthetic Gaussian blobs.
   ``mu = ridge`` and ``L = ridge + max_i lambda_max(X_i^T X_i) / (4 n_i)`` are
   certified from the data; ``(a, b)`` are estimated on a probe grid with
-  ``b = 2`` fixed and are flagged empirical.
+  ``b = 2`` fixed and are flagged empirical.  ``w*`` and ``f*`` have no
+  closed form: ``harness.locate_optimum`` finds them by Newton-CG on the
+  exact Hessian-vector products of ``LogisticObjective.hess_vec``.  The
+  sigmoid is numpy's ``exp``, so no suite needs more than numpy.
 * ``tiny_mlp``: one hidden tanh layer with squared loss and hand-coded
   backprop; non-convex, ``mu = 0``, bounded below by 0, ``L`` is an empirical
   Lipschitz estimate (flagged non-certified).
@@ -243,9 +246,23 @@ class LogisticObjective(FederatedObjective):
         return float(np.logaddexp(0.0, -margins).mean()) + 0.5 * self.ridge * float(w @ w)
 
     def _grad_from_margins(self, X, y, margins, w):
-        from scipy.special import expit    # here, so other objectives never load scipy
-        weights = y * expit(-margins)
+        """``-X^T (y sigma(-margins)) / n + ridge w``.  The weight
+        ``y / (1 + exp(margins))`` equals ``y sigma(-margins)``; a margin past
+        the overflow of ``exp`` gives weight 0, without a warning."""
+        with np.errstate(over="ignore"):
+            weights = y / (1.0 + np.exp(margins))
         return -(X.T @ weights) / X.shape[0] + self.ridge * w
+
+    def hess_vec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``grad^2 f(w) v = (1/M) sum_i X_i^T (s_i (1 - s_i) X_i v) / n_i
+        + ridge v`` with ``s_i = sigma(X_i w)``."""
+        acc = None
+        for X in self.features:
+            with np.errstate(over="ignore"):
+                s = 1.0 / (1.0 + np.exp(-(X @ w)))
+            hv = X.T @ (s * (1.0 - s) * (X @ v)) / X.shape[0]
+            acc = hv if acc is None else acc + hv
+        return acc / self.M + self.ridge * v
 
     def _estimate_dissimilarity(self):
         """Maximize the implied ``a`` at fixed ``b`` over a probe grid.

@@ -172,6 +172,17 @@ class TestWireFormat:
         with pytest.raises(ValueError, match=f"is {len(raw)} bytes, got {len(bad)}"):
             deserialize_message(bad, kind, 4, **shape)
 
+    def test_nonzero_padding_is_refused(self):
+        """d = 7, s = 3: 7 sign bits and 14 level bits leave 3 padding bits."""
+        msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=3),
+                       rows([3.0, -4.0, 0.25, 1.0, -2.0, 0.5, 6.0]), stream())
+        raw = serialize_message(msg)
+        assert len(raw) == 4 + 3
+        deserialize_message(raw, "quantized", 7, s_levels=3)
+        flipped = raw[:-1] + bytes([raw[-1] ^ 1])
+        with pytest.raises(ValueError, match="3 padding bits must be zero"):
+            deserialize_message(flipped, "quantized", 7, s_levels=3)
+
     def test_sparse_roundtrip_float32(self):
         msg = compress(CompressorSpec(CompressorKind.TOPK, k_fraction=0.34),
                        rows([0.0, 7.5, 0.0]))

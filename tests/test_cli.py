@@ -1,6 +1,8 @@
+import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,18 +144,54 @@ class TestObjectiveBuild:
         assert main(argv) == 0
         assert len(calls) == 1
 
+    @staticmethod
+    def verify_in_fresh_process(tmp_path, cfg, item, block_scipy=False):
+        """Exit code of ``verify`` in a new interpreter, and the scipy modules
+        loaded there; ``block_scipy`` makes any scipy import fail."""
+        code = ("import sys\n"
+                + ("sys.modules['scipy'] = None\n" if block_scipy else "")
+                + "from fedproj.cli import main\n"
+                f"code = main(['verify', {str(cfg)!r}, '--item', {item!r}, "
+                f"'--out', {str(tmp_path)!r}, '--jobs', '1'])\n"
+                "print(code, sorted(m for m in sys.modules if m.startswith('scipy')\n"
+                "                   and sys.modules[m] is not None))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
+        return out.splitlines()[-1]
+
     def test_quadratic_verify_loads_no_scipy(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", name="c", dim=8, clients=3, centers="random",
                         algorithm="projfl", compressor="randk", k_fraction=0.5, eta=0.1,
                         rounds=3, seeds="0:2")
-        code = ("import sys\n"
-                "from fedproj.cli import main\n"
-                f"code = main(['verify', {str(cfg)!r}, '--item', 't1.1', "
-                f"'--out', {str(tmp_path)!r}, '--jobs', '1'])\n"
-                "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
-        assert out.splitlines()[-1] == "0 []"
+        assert self.verify_in_fresh_process(tmp_path, cfg, "t1.1") == "0 []"
+
+    def test_logistic_verify_runs_without_scipy(self, tmp_path):
+        """The logistic gradient and the optimum search behind t1.2 need numpy only."""
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", objective="logistic", dim=6,
+                        clients=3, samples_per_client=10, algorithm="projfl",
+                        compressor="qsgd", s_levels=2, eta=0.05, rounds=3, seeds="0:2")
+        assert self.verify_in_fresh_process(tmp_path, cfg, "t1.2", block_scipy=True) \
+            == "0 []"
+
+    def test_sources_import_numpy_and_the_standard_library_only(self):
+        for path in sorted((SRC / "fedproj").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    assert top == "numpy" or top in sys.stdlib_module_names, \
+                        f"{path.name}:{node.lineno} imports {name}"
+
+    def test_numpy_is_the_only_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+        assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] \
+            == ["numpy"]
 
 
 class TestDefinedExits:
@@ -197,6 +235,35 @@ class TestDefinedExits:
         assert err.startswith("divergence: seeds [0, 1]") and err.count("\n") == 1
         summary = json.loads((tmp_path / "c" / "summary.json").read_text())
         assert [s["diverged_at"] for s in summary["per_seed"]] == [2, 2]
+
+    def test_nonfinite_logistic_run_warns_nothing(self, tmp_path):
+        """Overflowing margins give gradient weight 0 without a RuntimeWarning:
+        stderr is the warning about eta and the divergence line, nothing more."""
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", objective="logistic", dim=6, clients=3,
+                        samples_per_client=10, algorithm="projfl", eta=1e200, rounds=10,
+                        seeds="0:2")
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "fedproj.cli", "run",
+                               str(cfg), "--out", str(tmp_path), "--jobs", "1"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "warning: eta=1e+200 exceeds the loosest applicable convergence-bound cap "
+            "0.412272; running anyway\n"
+            "divergence: seeds [0, 1] left the iterate guard (an entry not finite or a "
+            "norm above divergence_threshold)\n")
+
+    def test_logistic_without_minimizer_is_one_line_exit_1(self, tmp_path, capsys):
+        """ridge = 0 on separable data (d = 60 > 20 samples per client): f has
+        no minimizer, so t1.2 has no w* to verify against."""
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", objective="logistic", dim=60,
+                        clients=4, samples_per_client=20, ridge=0.0, algorithm="projfl",
+                        compressor="identity", eta=0.01, rounds=3, seeds="0:2")
+        assert main(["verify", str(cfg), "--item", "t1.2", "--out", str(tmp_path),
+                     "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the optimum search found no minimizer of f") \
+            and err.count("\n") == 1
 
     def test_export_of_a_run_is_its_summary(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=3, seeds="0:2")

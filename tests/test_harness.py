@@ -314,5 +314,11 @@ class TestLocateOptimum:
                                               samples_per_client=20, ridge=0.1))
         w_hat, f_hat = locate_optimum(obj)
         g = obj._grad_mean(w_hat)
-        assert np.linalg.norm(g) < 1e-5
+        assert np.linalg.norm(g) <= 1e-12
         assert f_hat <= obj.loss_grad(np.zeros(10))[0]
+
+    def test_tiny_mlp_is_refused(self):
+        obj = build_objective(ObjectiveConfig(ObjectiveKind.TINY_MLP, clients=2, d_in=3,
+                                              hidden=2, samples_per_client=5))
+        with pytest.raises(ValueError, match="no optimum search for the tiny_mlp objective"):
+            locate_optimum(obj)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,35 @@ class TestLogistic:
             x, y = rng.standard_normal(8), rng.standard_normal(8)
             gx, gy = obj._grad_mean(x), obj._grad_mean(y)
             assert np.linalg.norm(gx - gy) <= obj.L * np.linalg.norm(x - y) + 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_gradient_weights_within_4_ulp_of_math_exp(self):
+        """The weights ``y / (1 + exp(margin))`` against a ``math.exp``
+        reference, read back from the gradient of one client with ``X = I``
+        and 32 rows, which is exact while no weight is subnormal."""
+        from fedproj.objectives import LogisticObjective
+        margins = np.concatenate([[-800.0, -50.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 50.0,
+                                   700.0, 710.0, 800.0, 1e300],
+                                  np.random.default_rng(8).standard_normal(20) * 30.0])
+        y = np.where(np.arange(32) % 3 == 0, -1.0, 1.0)
+        obj = LogisticObjective([np.eye(32)], [y], ridge=0.0)
+        weights = -32.0 * obj._grad_from_margins(np.eye(32), y, margins, np.zeros(32))
+
+        def reference(m, label):
+            try:
+                return label / (1.0 + math.exp(m))
+            except OverflowError:
+                return 0.0
+        ref = np.array([reference(m, label) for m, label in zip(margins, y)])
+        assert np.all(np.abs(weights - ref) <= 4 * np.spacing(np.abs(ref)))
+
+    def test_hess_vec_matches_central_difference(self, obj):
+        rng = np.random.default_rng(9)
+        step = 1e-4
+        for _ in range(5):
+            w, v = rng.standard_normal(8), rng.standard_normal(8)
+            fd = (obj._grad_mean(w + step * v) - obj._grad_mean(w - step * v)) / (2 * step)
+            assert np.linalg.norm(obj.hess_vec(w, v) - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def test_symmetric_data_zero_gradient_at_origin(self):
         from fedproj.objectives import LogisticObjective

@@ -20,8 +20,10 @@ Exit codes: ``run`` 0 ok / 2 divergence; ``verify`` 0 PASS / 3 FAIL /
 input it refuses, with one ``error: ...`` line and no traceback: a config
 that is unreadable, not UTF-8 or invalid; an output path that cannot be
 written; a ``verify`` item that is unknown or misused; an ``export`` or
-``verify --reuse`` metrics CSV that is missing or unreadable; a ``certify``
-``--dim`` below 1 or an invalid compressor.  Argparse usage errors exit 2.
+``verify --reuse`` metrics CSV that is missing or unreadable; a ``layerwise``
+or ``projection_layerwise`` flag on an objective with no layers, where it
+would do nothing; a ``certify`` ``--dim`` below 1 or an invalid compressor.
+Argparse usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -270,6 +272,11 @@ def _load(config_path):
         obj = build_objective(config.objective)
     except ValueError as exc:
         raise ConfigError(f"{config_path}: cannot build the objective: {exc}") from exc
+    if obj.layer_partition is None:
+        for key in ("projection_layerwise", "layerwise"):
+            if values[key]:
+                raise ConfigError(f"{config_path}: {key} = true needs an objective with "
+                                  f"layers (tiny_mlp); {obj.kind.value} has none")
     return values, config, obj
 
 
@@ -437,7 +444,7 @@ def cmd_certify(args) -> int:
     if args.dim < 1:
         raise ValueError(f"dim must be >= 1, got {args.dim}")
     spec = CompressorSpec(kind=args.kind, k_fraction=args.k_fraction,
-                          s_levels=args.s_levels, layerwise=args.layerwise)
+                          s_levels=args.s_levels)
     if spec.kind is CompressorKind.IDENTITY:
         lines = ["identity: beta = 1, delta = 1 (exact, no compression error)"]
     elif spec.kind is CompressorKind.RANDK:
@@ -495,7 +502,6 @@ def main(argv=None) -> int:
                         dest="k_fraction")
     p_cert.add_argument("--s-levels", type=int, default=_default("s_levels"),
                         dest="s_levels")
-    p_cert.add_argument("--layerwise", action="store_true")
 
     p_export = sub.add_parser("export", help="summarize a run directory as JSON")
     p_export.add_argument("run_dir")

@@ -3,10 +3,12 @@
 A run is declarative: :class:`RunConfig` names the objective, algorithm,
 noise model, horizon and seeds, and :func:`run` executes every seed's
 round loop, recording per-round metrics and exact traffic counts.  A round
-is a handful of batched calls over all ``M`` clients: the gradient rows
-(:func:`~fedproj.objectives.stochastic_gradient`), the clients' step
-(:func:`~fedproj.algorithms.client_round`), the server's step and the
-mirror check, then the bit counts.  Each client draws from streams keyed by
+is a handful of batched calls over all ``M`` clients: one oracle pass at the
+iterate (:meth:`~fedproj.objectives.FederatedObjective.client_loss_grads`),
+whose losses and gradient rows give the round's metrics row and, with the
+noise added (:func:`~fedproj.objectives.stochastic_gradient`), the clients'
+step (:func:`~fedproj.algorithms.client_round`); then the server's step and
+the mirror check, then the bit counts.  Each client draws from streams keyed by
 ``(seed, client, round, purpose)``, derived for all clients at once, so
 runs are deterministic per seed and seeds are independent: parallel
 execution cannot change any number.  A seed diverges, and its loop stops,
@@ -190,9 +192,9 @@ class SeedResult:
     diverged_at: Optional[int] = None
 
 
-def _metrics_row(obj, t, w_arr, clients, up_bits, down_bits, cum_up,
+def _metrics_row(obj, t, w_arr, clients, losses, grads, up_bits, down_bits, cum_up,
                  cum_down) -> RoundMetrics:
-    loss, grad = obj.loss_grad(w_arr)
+    loss, grad = obj.fold(losses, grads)
     loss_gap = None if obj.f_star is None else loss - obj.f_star
     dist = None
     if obj.w_star is not None:
@@ -208,29 +210,34 @@ def _metrics_row(obj, t, w_arr, clients, up_bits, down_bits, cum_up,
 
 def run_seed(config: RunConfig, obj: FederatedObjective, seed: int) -> SeedResult:
     """One deterministic trajectory; row ``t`` holds the state at ``w_t`` and
-    the cumulative traffic spent to reach it."""
+    the cumulative traffic spent to reach it.  Each point ``w_t`` costs one
+    oracle pass: its losses and gradient rows give row ``t`` and, with the
+    noise added, round ``t``'s step; the last point's pass gives the last row."""
     alg = config.algorithm
     M = obj.M
     ids = np.arange(M)
     clients = init_clients(alg, M, obj.d)
     server = init_server(alg, np.zeros(obj.d), M)
-    cum_up = cum_down = 0
+    up_bits = down_bits = cum_up = cum_down = 0
     rows: List[RoundMetrics] = []
     diverged_at = None
 
-    def record(t, up_bits, down_bits):
+    def observe(t):
+        """The oracle at ``w_t``: records row ``t`` at the cadence and returns
+        the gradient rows, to which the caller holds the only reference."""
+        losses, grads = obj.client_loss_grads(server.w)
         if t % config.cadence == 0 or t == config.rounds:
-            rows.append(_metrics_row(obj, t, server.w, clients, up_bits, down_bits,
-                                     cum_up, cum_down))
+            rows.append(_metrics_row(obj, t, server.w, clients, losses, grads,
+                                     up_bits, down_bits, cum_up, cum_down))
+        return grads
 
-    record(0, 0, 0)
     # overflow to inf or NaN is how a seed diverges; it is detected below
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.rounds):
             # client_round holds the only reference to the gradient rows
             upload = client_round(
                 alg, clients,
-                stochastic_gradient(obj, server.w, config.noise,
+                stochastic_gradient(observe(t), config.noise,
                                     stream_keys(seed, ids, t, StreamPurpose.GRADIENT_NOISE)),
                 stream_keys(seed, ids, t, StreamPurpose.COMPRESSOR), obj.layer_partition)
             w_prev = server.w
@@ -241,11 +248,11 @@ def run_seed(config: RunConfig, obj: FederatedObjective, seed: int) -> SeedResul
             down_bits = downlink_bits(config.cost_model, w_prev, server.w) * M
             cum_up += up_bits
             cum_down += down_bits
-            record(t + 1, up_bits, down_bits)
             if not (np.isfinite(server.w).all() and
                     float(np.linalg.norm(server.w)) <= config.divergence_threshold):
                 diverged_at = t + 1
                 break
+        observe(diverged_at or config.rounds)
 
     return SeedResult(seed, rows, diverged_at)
 

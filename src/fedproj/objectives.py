@@ -23,14 +23,15 @@ Three suites:
   backprop; non-convex, ``mu = 0``, bounded below by 0, ``L`` is an empirical
   Lipschitz estimate (flagged non-certified).
 
-``FederatedObjective.client_grads`` returns every client's gradient as the
-rows of an ``(M, d)`` array (``w - C`` in one operation for quadratic, one
-``X_i @ w`` or forward pass per client otherwise), and
-:func:`stochastic_gradient` adds the clients' noise rows to it.
-
-``FederatedObjective.loss_grad`` returns the loss and the mean gradient from
-one forward pass per client, folded in a fixed order: ``sum`` of the client
-losses, then ``/ M``, and the left fold ``g_0 + g_1 + ...``, then ``/ M``.
+Each suite has one per-client oracle, ``_client_loss_grad(i, w)``: the loss
+and the gradient of client ``i`` from one forward pass.
+``FederatedObjective.client_loss_grads`` is its batched form: every client's
+loss, and every client's gradient as the rows of an ``(M, d)`` array (``w - C``
+in one operation for quadratic).  :meth:`FederatedObjective.fold` turns those
+into ``(f(w), grad f(w))`` in a fixed order: ``sum`` of the client losses, then
+``/ M``, and the left fold ``g_0 + g_1 + ...``, then ``/ M``.  ``loss_grad``,
+the dissimilarity probe and the harness's metrics rows all fold the same rows,
+and :func:`stochastic_gradient` adds the clients' noise rows to them.
 """
 
 from __future__ import annotations
@@ -129,43 +130,32 @@ class FederatedObjective(ABC):
     layer_partition = None
 
     @abstractmethod
-    def _client_grad(self, client_id: int, w: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
     def _client_loss_grad(self, client_id: int, w: np.ndarray) -> Tuple[float, np.ndarray]:
         """Loss and gradient of one client from one forward pass."""
 
-    def client_grads(self, w: np.ndarray) -> np.ndarray:
-        """Every client's gradient at ``w``, as the rows of an ``(M, d)`` array."""
-        out = np.empty((self.M, self.d))
+    def client_loss_grads(self, w: np.ndarray) -> Tuple[List[float], np.ndarray]:
+        """Every client's loss at ``w``, and its gradient as the rows of an
+        ``(M, d)`` array."""
+        losses = []
+        rows = np.empty((self.M, self.d))
         for i in range(self.M):
-            out[i] = self._client_grad(i, w)
-        return out
+            loss, rows[i] = self._client_loss_grad(i, w)
+            losses.append(loss)
+        return losses, rows
+
+    @staticmethod
+    def fold(losses: List[float], rows: np.ndarray) -> Tuple[float, np.ndarray]:
+        """``(f, grad f)`` from the clients' losses and gradient rows: ``sum``
+        of the losses, then ``/ M``; the left fold ``g_0 + g_1 + ...``, then
+        ``/ M``.  The fold is a loop: ``np.sum`` over the rows sums pairwise."""
+        acc = rows[0]
+        for g in rows[1:]:
+            acc = acc + g
+        return sum(losses) / len(rows), acc / len(rows)
 
     def loss_grad(self, w: np.ndarray) -> Tuple[float, np.ndarray]:
-        """``(f(w), grad f(w))``, one forward pass per client (see the module
-        docstring for the order of the folds)."""
-        losses = []
-        acc = None
-        for i in range(self.M):
-            loss, g = self._client_loss_grad(i, w)
-            losses.append(loss)
-            acc = g if acc is None else acc + g
-        return sum(losses) / self.M, acc / self.M
-
-    def _grad_mean(self, warr: np.ndarray) -> np.ndarray:
-        return self._probe(warr)[1]
-
-    def _probe(self, warr: np.ndarray):
-        """``(1/M) sum_i ||grad f_i||^2`` and ``grad f`` (the left fold
-        ``g_0 + g_1 + ...``, then ``/ M``) at one point, one gradient per client."""
-        sq = []
-        acc = None
-        for i in range(self.M):
-            g = self._client_grad(i, warr)
-            sq.append(float(g @ g))
-            acc = g if acc is None else acc + g
-        return np.mean(sq), acc / self.M
+        """``(f(w), grad f(w))``, one forward pass per client."""
+        return self.fold(*self.client_loss_grads(w))
 
 
 class QuadraticObjective(FederatedObjective):
@@ -184,15 +174,13 @@ class QuadraticObjective(FederatedObjective):
         self.ab_certified = True
         self.L_certified = True
 
-    def _client_grad(self, i, w):
-        return w - self.centers[i]
-
     def _client_loss_grad(self, i, w):
         diff = w - self.centers[i]
         return 0.5 * float(diff @ diff), diff
 
-    def client_grads(self, w):
-        return w - self.centers
+    def client_loss_grads(self, w):
+        rows = w - self.centers
+        return [0.5 * float(r @ r) for r in rows], rows
 
 
 class LogisticObjective(FederatedObjective):
@@ -232,10 +220,6 @@ class LogisticObjective(FederatedObjective):
         floor = max(lo for lo, _ in ends) if np.isfinite(ends).all() else -np.inf
         return max(top(X.T @ X) / (4 * len(X))
                    for X, (_, hi) in zip(features, ends) if not hi < floor)
-
-    def _client_grad(self, i, w):
-        X, y = self.features[i], self.labels[i]
-        return self._grad_from_margins(X, y, (X @ w) * y, w)
 
     def _client_loss_grad(self, i, w):
         X, y = self.features[i], self.labels[i]
@@ -277,7 +261,9 @@ class LogisticObjective(FederatedObjective):
 
         def probe(p):
             nonlocal worst
-            mean_sq, gbar = self._probe(p)
+            losses, rows = self.client_loss_grads(p)
+            gbar = self.fold(losses, rows)[1]
+            mean_sq = np.mean([float(g @ g) for g in rows])
             worst = max(worst, mean_sq - self.b * float(gbar @ gbar))
             return gbar
 
@@ -339,9 +325,6 @@ class TinyMlpObjective(FederatedObjective):
     def _loss_from_pred(self, i, pred):
         return 0.5 * float(np.mean((pred - self.targets[i]) ** 2))
 
-    def _client_grad(self, i, w):
-        return self._backward(i, w, *self._forward(i, w))
-
     def _client_loss_grad(self, i, w):
         act, pred = self._forward(i, w)
         return self._loss_from_pred(i, pred), self._backward(i, w, act, pred)
@@ -365,7 +348,7 @@ class TinyMlpObjective(FederatedObjective):
         for _ in range(200):
             x = rng.normals(self.d)
             y = x + rng.normals(self.d) * 0.5
-            gx, gy = self._grad_mean(x), self._grad_mean(y)
+            gx, gy = self.loss_grad(x)[1], self.loss_grad(y)[1]
             gap = np.linalg.norm(x - y)
             if gap > 1e-12:
                 worst = max(worst, float(np.linalg.norm(gx - gy)) / gap)
@@ -432,16 +415,17 @@ def make_tiny_mlp(M: int, d_in: int, hidden: int, seed: int,
     return TinyMlpObjective(features, targets, d_in, hidden)
 
 
-def stochastic_gradient(obj: FederatedObjective, w: np.ndarray, noise: NoiseModel,
-                        keys) -> np.ndarray:
-    """Every client's noisy gradient ``grad f_i(w) + xi_i`` with ``E[xi_i] = 0``,
-    as ``(M, d)`` rows; ``keys`` are the clients' gradient-noise stream keys."""
+def stochastic_gradient(rows: np.ndarray, noise: NoiseModel, keys) -> np.ndarray:
+    """Every client's noisy gradient ``grad f_i(w) + xi_i`` with ``E[xi_i] = 0``:
+    the ``(M, d)`` gradient rows of :meth:`FederatedObjective.client_loss_grads`
+    with the clients' noise rows added in place; ``keys`` are the clients'
+    gradient-noise stream keys."""
     keys = np.asarray(keys, dtype=np.uint64)
-    if keys.shape != (obj.M,):
-        raise ValueError(f"expected {obj.M} stream keys, got shape {keys.shape}")
-    g = obj.client_grads(w)
+    M, d = rows.shape
+    if keys.shape != (M,):
+        raise ValueError(f"expected {M} stream keys, got shape {keys.shape}")
     if noise.sigma > 0.0:
-        block = max(1, NOISE_BLOCK_BYTES // (8 * obj.d))
-        for lo in range(0, obj.M, block):
-            g[lo:lo + block] += noise.draw(obj.d, keys[lo:lo + block])
-    return g
+        block = max(1, NOISE_BLOCK_BYTES // (8 * d))
+        for lo in range(0, M, block):
+            rows[lo:lo + block] += noise.draw(d, keys[lo:lo + block])
+    return rows

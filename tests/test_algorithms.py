@@ -40,7 +40,7 @@ def keys(seed, obj, t, purpose):
 
 def step(cfg, obj, clients, server, t, seed=0, noise=NoiseModel(0.0)):
     """One round of the engine, as the harness runs it; returns the gradient rows."""
-    g = stochastic_gradient(obj, server.w, noise,
+    g = stochastic_gradient(obj.client_loss_grads(server.w)[1], noise,
                             keys(seed, obj, t, StreamPurpose.GRADIENT_NOISE))
     up = client_round(cfg, clients, g, keys(seed, obj, t, StreamPurpose.COMPRESSOR),
                       obj.layer_partition)
@@ -247,7 +247,7 @@ class TestReductionLadder:
         w = np.zeros(obj.d)
         traj = [w.copy()]
         for _ in range(rounds):
-            w = w - eta * obj._grad_mean(w)
+            w = w - eta * obj.loss_grad(w)[1]
             traj.append(w.copy())
         return np.array(traj)
 
@@ -309,7 +309,7 @@ class TestDecompositionInvariant:
         clients = init_clients(cfg, 2, 8)
         server = init_server(cfg, np.zeros(8), 2)
         for t in range(40):
-            g = stochastic_gradient(obj, server.w, noise,
+            g = stochastic_gradient(obj.client_loss_grads(server.w)[1], noise,
                                     keys(1, obj, t, StreamPurpose.GRADIENT_NOISE))
             dbar = clients.history.mean()
             alpha, perp = decompose(g, dbar)

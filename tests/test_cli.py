@@ -318,6 +318,31 @@ class TestRefusedInputs:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
         assert sorted(tmp_path.iterdir()) == [blocker, cfg] and blocker.read_text() == ""
 
+    LOGI = dict(objective="logistic", dim=4, clients=2, samples_per_client=5)
+
+    @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.3"]])
+    @pytest.mark.parametrize("values, key", [
+        (dict(compressor="randk", k_fraction=0.5, layerwise="true"), "layerwise"),
+        (dict(projection_layerwise="true"), "projection_layerwise"),
+        (dict(LOGI, compressor="randk", k_fraction=0.5, layerwise="true"), "layerwise"),
+        (dict(LOGI, layerwise="true", projection_layerwise="true"), "projection_layerwise"),
+    ], ids=["quadratic", "quadratic-projection", "logistic", "logistic-both"])
+    def test_layer_flag_without_layers(self, tmp_path, capsys, command, values, key):
+        """A layer flag on an objective with no layers would change nothing."""
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=2, **values)
+        argv = [command[0], str(cfg), *command[1:], "--out", str(tmp_path), "--jobs", "1"]
+        assert main(argv) == 1
+        kind = values.get("objective", "quadratic")
+        assert capsys.readouterr() == ("", f"error: {cfg}: {key} = true needs an objective "
+                                           f"with layers (tiny_mlp); {kind} has none\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_certify_has_no_layerwise_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--kind", "topk", "--dim", "50", "--layerwise"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --layerwise" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["identity", "randk", "topk", "qsgd"])
     def test_certify_dim_below_1(self, capsys, kind):
         assert main(["certify", "--kind", kind, "--dim", "0"]) == 1

@@ -17,7 +17,12 @@ from fedproj.harness import (
     verify,
     write_metrics_csv,
 )
-from fedproj.objectives import NoiseModel, ObjectiveKind, stochastic_gradient
+from fedproj.objectives import (
+    LogisticObjective,
+    NoiseModel,
+    ObjectiveKind,
+    stochastic_gradient,
+)
 from fedproj.vectors import StreamPurpose, derive_stream, stream_keys
 
 QUAD = ObjectiveConfig(ObjectiveKind.QUADRATIC, d=2, clients=2)
@@ -101,12 +106,36 @@ class TestRun:
         rng = np.random.default_rng(0)
         for t in range(30):
             w = rng.standard_normal(5)
-            rows = stochastic_gradient(obj, w, noise, stream_keys(
+            rows = stochastic_gradient(obj.client_loss_grads(w)[1], noise, stream_keys(
                 5, np.arange(4), t, StreamPurpose.GRADIENT_NOISE))
             for i in (3, 2, 1, 0):
                 key = derive_stream(5, i, t, StreamPurpose.GRADIENT_NOISE).key
-                alone = obj._client_grad(i, w) + noise.draw(5, key)[0]
+                alone = obj._client_loss_grad(i, w)[1] + noise.draw(5, key)[0]
                 assert np.array_equal(rows[i], alone)
+
+    @pytest.mark.parametrize("cadence", [1, 3])
+    @pytest.mark.parametrize("threshold, stops", [(1e12, False), (1.0, True)])
+    def test_one_oracle_pass_per_point(self, monkeypatch, cadence, threshold, stops):
+        """Each point ``w_t`` costs one gradient per client: it gives row ``t``
+        and round ``t``'s step.  A seed that stops at ``diverged_at`` has
+        ``diverged_at + 1`` points."""
+        ocfg = ObjectiveConfig(ObjectiveKind.LOGISTIC, d=6, clients=3, samples_per_client=10)
+        obj = build_objective(ocfg)
+        calls = []
+        grad = LogisticObjective._grad_from_margins
+        monkeypatch.setattr(LogisticObjective, "_grad_from_margins",
+                            lambda self, *args: calls.append(1) or grad(self, *args))
+        cfg = RunConfig(objective=ocfg,
+                        algorithm=AlgorithmConfig(AlgorithmKind.PROJFL, eta=0.5,
+                                                  compressor=CompressorSpec(
+                                                      CompressorKind.RANDK, k_fraction=0.5)),
+                        noise=NoiseModel(0.1), rounds=7, seeds=(0, 1), cadence=cadence,
+                        divergence_threshold=threshold)
+        results = run(cfg, obj=obj)
+        stopped = [r.diverged_at for r in results if r.diverged_at is not None]
+        assert len(stopped) == (2 if stops else 0) and all(1 < t < 7 for t in stopped)
+        points = sum((r.diverged_at or cfg.rounds) + 1 for r in results)
+        assert len(calls) == obj.M * points
 
     def test_divergence_guard(self):
         cfg = quad_config(eta=3.0, rounds=200)  # |1 - eta| = 2: diverges
@@ -313,7 +342,7 @@ class TestLocateOptimum:
         obj = build_objective(ObjectiveConfig(ObjectiveKind.LOGISTIC, d=10, clients=3,
                                               samples_per_client=20, ridge=0.1))
         w_hat, f_hat = locate_optimum(obj)
-        g = obj._grad_mean(w_hat)
+        g = obj.loss_grad(w_hat)[1]
         assert np.linalg.norm(g) <= 1e-12
         assert f_hat <= obj.loss_grad(np.zeros(10))[0]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedproj.objectives import (
+    FederatedObjective,
     NoiseKind,
     NoiseModel,
     make_logistic,
@@ -28,7 +29,7 @@ def check_gradients(obj, points, rel=1e-5):
     for w in points:
         for i in range(obj.M):
             num = central_difference(lambda x: obj._client_loss_grad(i, x)[0], w)
-            ana = obj._client_grad(i, w)
+            ana = obj._client_loss_grad(i, w)[1]
             scale = max(np.linalg.norm(num), 1e-8)
             assert np.linalg.norm(ana - num) / scale <= rel
 
@@ -39,12 +40,17 @@ def two_point_quadratic(d=2, gap=2.0):
     return make_quadratic(2, d, centers)
 
 
+def mean_client_energy(obj, w):
+    """``(1/M) sum_i ||grad f_i(w)||^2``."""
+    return np.mean([float(g @ g) for g in obj.client_loss_grads(w)[1]])
+
+
 def max_h2_violation(obj, points):
     """Largest excess of mean client gradient energy over ``a + b ||grad f||^2``."""
     worst = -np.inf
     for p in points:
-        mean_sq, gbar = obj._probe(p)
-        worst = max(worst, mean_sq - (obj.a + obj.b * float(gbar @ gbar)))
+        gbar = obj.loss_grad(p)[1]
+        worst = max(worst, mean_client_energy(obj, p) - (obj.a + obj.b * float(gbar @ gbar)))
     return worst
 
 
@@ -66,7 +72,7 @@ class TestQuadratic:
         rng = np.random.default_rng(0)
         for _ in range(10):
             w = rng.standard_normal(2)
-            assert np.allclose(obj._grad_mean(w), w - obj.w_star)
+            assert np.allclose(obj.loss_grad(w)[1], w - obj.w_star)
 
     def test_loss_gap_is_half_square_distance(self):
         obj = two_point_quadratic()
@@ -85,8 +91,7 @@ class TestQuadratic:
 
     def test_h2_tight_at_optimum(self):
         obj = two_point_quadratic()
-        mean_sq, _ = obj._probe(obj.w_star)
-        assert mean_sq == pytest.approx(obj.a, rel=1e-12)
+        assert mean_client_energy(obj, obj.w_star) == pytest.approx(obj.a, rel=1e-12)
 
     def test_empty_centers(self):
         with pytest.raises(ValueError):
@@ -131,7 +136,7 @@ class TestLogistic:
         rng = np.random.default_rng(4)
         for _ in range(2000):
             x, y = rng.standard_normal(8), rng.standard_normal(8)
-            gx, gy = obj._grad_mean(x), obj._grad_mean(y)
+            gx, gy = obj.loss_grad(x)[1], obj.loss_grad(y)[1]
             assert np.linalg.norm(gx - gy) <= obj.L * np.linalg.norm(x - y) + 1e-12
 
     @pytest.mark.filterwarnings("error")
@@ -160,7 +165,7 @@ class TestLogistic:
         step = 1e-4
         for _ in range(5):
             w, v = rng.standard_normal(8), rng.standard_normal(8)
-            fd = (obj._grad_mean(w + step * v) - obj._grad_mean(w - step * v)) / (2 * step)
+            fd = (obj.loss_grad(w + step * v)[1] - obj.loss_grad(w - step * v)[1]) / (2 * step)
             assert np.linalg.norm(obj.hess_vec(w, v) - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def test_symmetric_data_zero_gradient_at_origin(self):
@@ -168,7 +173,7 @@ class TestLogistic:
         X = np.array([[1.0, 2.0], [-1.0, -2.0]])
         y = np.array([1.0, 1.0])  # mirrored features, same label: sum y*x = 0
         obj = LogisticObjective([X], [y], ridge=0.1)
-        assert np.allclose(obj._client_grad(0, np.zeros(2)), 0.0)
+        assert np.allclose(obj._client_loss_grad(0, np.zeros(2))[1], 0.0)
 
     def test_h2_on_probe_grid(self, obj):
         rng = np.random.default_rng(5)
@@ -234,7 +239,8 @@ class TestTinyMlp:
         w = np.zeros(obj.d)
         loss, g = obj._client_loss_grad(0, w)
         assert loss == 0.0 and np.all(g == 0.0)
-        assert np.all(obj._client_grad(0, w) == 0.0)
+        losses, rows = obj.client_loss_grads(w)
+        assert losses == [0.0] and np.all(rows == 0.0)
 
     def test_gradient_finite_difference(self, obj):
         rng = np.random.default_rng(7)
@@ -256,39 +262,64 @@ class TestTinyMlp:
         assert obj.mu == 0.0 and obj.w_star is None and obj.f_star is None
 
 
+def left_fold(losses, rows):
+    acc = rows[0]
+    for g in rows[1:]:
+        acc = acc + g
+    return sum(losses) / len(rows), acc / len(rows)
+
+
+def nine_clients_one_coordinate():
+    """``np.sum`` over these nine one-column rows sums pairwise, not left to right."""
+    rng = np.random.default_rng(15)
+    return make_quadratic(9, 1, rng.standard_normal((9, 1))
+                          * 10.0 ** rng.integers(-8, 9, size=(9, 1)))
+
+
 class TestFusedLossGrad:
     """``loss_grad`` folds the clients in a fixed order: ``sum`` of the losses,
-    then ``/ M``; the left fold of the gradients, then ``/ M``."""
+    then ``/ M``; the left fold of the gradient rows, then ``/ M``."""
 
-    @pytest.fixture(params=["quadratic", "logistic", "tiny_mlp"])
+    @pytest.fixture(params=["quadratic", "logistic", "tiny_mlp", "quadratic-d1-M9"])
     def obj(self, request, logistic_obj, mlp_obj):
         if request.param == "quadratic":
             rng = np.random.default_rng(12)
             return make_quadratic(3, 6, [rng.standard_normal(6) for _ in range(3)])
+        if request.param == "quadratic-d1-M9":
+            return nine_clients_one_coordinate()
         return logistic_obj if request.param == "logistic" else mlp_obj
 
-    def test_bit_equal_to_separate_calls(self, obj):
+    @staticmethod
+    def points(obj):
         rng = np.random.default_rng(13)
-        points = [np.zeros(obj.d)] + [rng.standard_normal(obj.d) * s
-                                      for s in (0.1, 1.0, 5.0) for _ in range(4)]
-        for w in points:
+        return [np.zeros(obj.d)] + [rng.standard_normal(obj.d) * s
+                                    for s in (0.1, 1.0, 5.0) for _ in range(4)]
+
+    def test_bit_equal_to_separate_calls(self, obj):
+        for w in self.points(obj):
             parts = [obj._client_loss_grad(i, w) for i in range(obj.M)]
-            acc = parts[0][1]
-            for _, g in parts[1:]:
-                acc = acc + g
+            separate = left_fold([loss for loss, _ in parts], [g for _, g in parts])
             loss, grad = obj.loss_grad(w)
-            assert loss == sum(part[0] for part in parts) / obj.M
-            assert np.array_equal(grad, acc / obj.M)
-            assert np.array_equal(grad, obj._grad_mean(w))
+            assert loss == separate[0] and np.array_equal(grad, separate[1])
+            batched = left_fold(*obj.client_loss_grads(w))
+            assert loss == batched[0] and np.array_equal(grad, batched[1])
 
     def test_client_grads_rows_equal_client_grad(self, obj):
-        rng = np.random.default_rng(14)
-        for arr in [np.zeros(obj.d), rng.standard_normal(obj.d)]:
-            rows = obj.client_grads(arr)
-            assert rows.shape == (obj.M, obj.d)
+        for w in self.points(obj):
+            losses, rows = obj.client_loss_grads(w)
+            assert rows.shape == (obj.M, obj.d) and len(losses) == obj.M
             for i in range(obj.M):
-                assert np.array_equal(rows[i], obj._client_grad(i, arr))
-                assert np.array_equal(rows[i], obj._client_loss_grad(i, arr)[1])
+                loss, g = obj._client_loss_grad(i, w)
+                assert losses[i] == loss and np.array_equal(rows[i], g)
+            # the quadratic override is bit-equal to the base-class loop
+            base_losses, base_rows = FederatedObjective.client_loss_grads(obj, w)
+            assert losses == base_losses and np.array_equal(rows, base_rows)
+
+    def test_pairwise_sum_would_differ(self):
+        """The d = 1, M = 9 case tells a left fold from ``np.sum``."""
+        obj = nine_clients_one_coordinate()
+        assert any(not np.array_equal(np.sum(rows, axis=0) / obj.M, left_fold(losses, rows)[1])
+                   for losses, rows in map(obj.client_loss_grads, self.points(obj)))
 
 
 def noise_keys(seed, obj, round_index=0):
@@ -299,12 +330,14 @@ class TestStochasticGradient:
     def test_sigma_zero_exact(self):
         obj = two_point_quadratic()
         w = np.array([3.0, 4.0])
-        g = stochastic_gradient(obj, w, NoiseModel(0.0), noise_keys(0, obj))
-        assert np.array_equal(g, w - obj.centers)
+        rows = obj.client_loss_grads(w)[1]
+        g = stochastic_gradient(rows, NoiseModel(0.0), noise_keys(0, obj))
+        assert g is rows and np.array_equal(g, w - obj.centers)
 
     def test_zero_at_client_optimum(self):
         obj = two_point_quadratic()
-        g = stochastic_gradient(obj, np.array([2.0, 0.0]), NoiseModel(0.0), noise_keys(0, obj))
+        g = stochastic_gradient(obj.client_loss_grads(np.array([2.0, 0.0]))[1], NoiseModel(0.0),
+                                noise_keys(0, obj))
         assert np.all(g[1] == 0.0)
 
     @pytest.mark.parametrize("dist", [NoiseKind.GAUSSIAN_ISO, NoiseKind.UNIFORM_BALL])
@@ -316,7 +349,8 @@ class TestStochasticGradient:
         n = 10_000
         acc = np.zeros(2)
         for r in range(n):
-            acc += stochastic_gradient(obj, w, noise, noise_keys(5, obj, r))[0]
+            acc += stochastic_gradient(obj.client_loss_grads(w)[1], noise,
+                                       noise_keys(5, obj, r))[0]
         exact = w - obj.centers[0]
         stderr = sigma / np.sqrt(2) / np.sqrt(n)
         assert np.all(np.abs(acc / n - exact) <= 4 * stderr + 1e-12)
@@ -342,7 +376,7 @@ class TestStochasticGradient:
         """One stream key per client: a key array of the wrong length is rejected."""
         obj = two_point_quadratic()
         with pytest.raises(ValueError, match="expected 2 stream keys"):
-            stochastic_gradient(obj, np.zeros(2), NoiseModel(0.0),
+            stochastic_gradient(obj.client_loss_grads(np.zeros(2))[1], NoiseModel(0.0),
                                 stream_keys(0, np.arange(7), 0, StreamPurpose.GRADIENT_NOISE))
 
     @pytest.mark.parametrize("dist", [NoiseKind.GAUSSIAN_ISO, NoiseKind.UNIFORM_BALL])
@@ -350,8 +384,9 @@ class TestStochasticGradient:
         import fedproj.objectives as objectives
         obj = make_quadratic(5, 7, [np.full(7, float(i)) for i in range(5)])
         noise = NoiseModel(0.4, dist)
-        whole = stochastic_gradient(obj, np.ones(7), noise, noise_keys(3, obj))
+        whole = stochastic_gradient(obj.client_loss_grads(np.ones(7))[1], noise,
+                                    noise_keys(3, obj))
         monkeypatch.setattr(objectives, "NOISE_BLOCK_BYTES", 8 * 7 * 2)  # two rows a block
-        assert np.array_equal(stochastic_gradient(obj, np.ones(7), noise, noise_keys(3, obj)),
-                              whole)
+        assert np.array_equal(stochastic_gradient(obj.client_loss_grads(np.ones(7))[1], noise,
+                                                  noise_keys(3, obj)), whole)
 

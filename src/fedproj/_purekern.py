@@ -120,23 +120,28 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def project_decompose(g: np.ndarray, dbar: np.ndarray, eps: float):
-    """Split each row ``g[r]`` into ``alpha[r] * dbar[r] + g_perp[r]`` with
-    ``dbar[r] . g_perp[r] = 0``; returns ``(alpha, g_perp)``.
-
-    A row with ``||dbar[r]||^2 <= eps`` degenerates to ``alpha = 0``,
-    ``g_perp = g``.  The inner products are one ``np.dot`` per row.
+def project_decompose(g: np.ndarray, dbar: np.ndarray, blocks, eps: float):
+    """Split block ``j = (start, stop)`` of each row ``g[r]`` into
+    ``alpha[r, j] * dbar[r, start:stop]`` plus a remainder orthogonal to it;
+    returns ``alpha``, ``(R, len(blocks))``, and the remainders as one
+    ``(R, d)`` array.  The flat projection is the one block ``((0, d),)``.
+    A block with ``||dbar[r, start:stop]||^2 <= eps`` degenerates to
+    ``alpha = 0`` and remainder ``g``.  The inner products are one ``np.dot``
+    per row and block.
     """
-    alpha = np.zeros(g.shape[0])
-    flat = np.ones(g.shape[0], dtype=bool)
-    for r in range(g.shape[0]):
-        nd = float(np.dot(dbar[r], dbar[r]))
-        if nd > eps:
-            alpha[r] = float(np.dot(g[r], dbar[r])) / nd
-            flat[r] = False
-    perp = alpha[:, None] * dbar
-    np.subtract(g, perp, out=perp)
-    np.copyto(perp, g, where=flat[:, None])
+    alpha = np.zeros((len(g), len(blocks)))
+    perp = np.empty(g.shape)
+    for j, (start, stop) in enumerate(blocks):
+        gb, db, out = g[:, start:stop], dbar[:, start:stop], perp[:, start:stop]
+        flat = np.ones(len(g), dtype=bool)
+        for r in range(len(g)):
+            nd = float(np.dot(db[r], db[r]))
+            if nd > eps:
+                alpha[r, j] = float(np.dot(gb[r], db[r])) / nd
+                flat[r] = False
+        np.multiply(db, alpha[:, j:j + 1], out=out)
+        np.subtract(gb, out, out=out)
+        np.copyto(out, gb, where=flat[:, None])
     return alpha, perp
 
 

@@ -24,9 +24,11 @@ model.  What varies is the client-side bookkeeping:
 The engine holds the state of all ``M`` clients as rows of arrays and runs a
 round as one computation over them.  :func:`client_round` turns the ``(M, d)``
 gradient rows into one batched :class:`ClientUpload` (the compressor's
-payload, a row per client, plus each row's projection coefficient) and updates
-:class:`Clients` in place; :func:`server_round` decodes that upload itself
-and steps :class:`Server`.  State layout:
+payload, a row per client, plus each row's projection coefficients) and
+updates :class:`Clients` in place; :func:`server_round` decodes that upload
+itself and steps :class:`Server`.  The projection acts on the blocks of
+:func:`~fedproj.compressors.resolve_blocks`: one coefficient per block, and
+the flat projection is the one block ``((0, d),)``.  State layout:
 
 * the projecting kinds keep each client's last ``K`` directions in a
   :class:`History`, a ``(K, M, d)`` ring buffer whose slots are ``(M, d)``
@@ -35,10 +37,10 @@ and steps :class:`Server`.  State layout:
 * the error of ``ef``/``projfl_ef``, the ef21 directions and the diana
   memories are ``(M, d)`` arrays.
 
-Inner products (the projection coefficient, ``||Dbar||^2``) are one
-``np.dot`` per row, and the server reduces the ``(M, d)`` directions with
-one ``np.mean(..., axis=0)``, so every number equals what a loop over the
-clients computes.
+Inner products (the projection coefficients, ``||Dbar||^2``) are one
+``np.dot`` per row and block, and the server reduces the ``(M, d)``
+directions with one ``np.mean(..., axis=0)``, so every number equals what a
+loop over the clients computes.
 
 The projecting and difference-compressing families need the server to hold a
 bit-exact mirror of each client's direction state.  The server rebuilds its
@@ -56,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from . import backend
-from .compressors import CompressorSpec, Payload, compress, decode
+from .compressors import CompressorSpec, Payload, compress, decode, resolve_blocks
 
 __all__ = [
     "AlgorithmKind",
@@ -197,41 +199,23 @@ class Server:
 
 @dataclass(frozen=True)
 class ClientUpload:
-    """One round's uploads: a payload row and (projecting kinds) a
-    coefficient row per client, ``(M,)`` flat or ``(M, layers)`` per layer."""
+    """One round's uploads: a payload row per client and, for the projecting
+    kinds, an ``(M, blocks)`` array of projection coefficients, one per
+    client and block (one block for the flat projection)."""
 
     msg: Payload
     coeff: Optional[np.ndarray] = None
 
     @property
     def n_scalars(self) -> int:
-        if self.coeff is None:
-            return 0
-        return 1 if self.coeff.ndim == 1 else self.coeff.shape[1]
+        return 0 if self.coeff is None else self.coeff.shape[1]
 
 
-def _decompose(g: np.ndarray, dbar: np.ndarray, layers):
-    """Flat or per-layer projection of every row; returns (coefficients, g_perp)."""
-    if layers is None:
-        return backend.project_decompose(g, dbar, PROJECTION_EPS)
-    coeff = np.empty((g.shape[0], len(layers)))
-    perp = np.empty_like(g)
-    for j, (start, stop) in enumerate(layers):
-        coeff[:, j], perp[:, start:stop] = backend.project_decompose(
-            g[:, start:stop], dbar[:, start:stop], PROJECTION_EPS)
-    return coeff, perp
-
-
-def _direction(coeff: np.ndarray, dbar: np.ndarray, decoded: np.ndarray, layers,
+def _direction(coeff: np.ndarray, dbar: np.ndarray, decoded: np.ndarray, blocks,
                out: np.ndarray):
-    """``out = coeff * dbar + decoded``, row by row, flat or per layer."""
-    if coeff.ndim == 1:
-        np.multiply(dbar, coeff[:, None], out=out)
-    else:
-        if layers is None:
-            raise ValueError("per-layer coefficients require layer_partition")
-        for j, (start, stop) in enumerate(layers):
-            np.multiply(dbar[:, start:stop], coeff[:, j:j + 1], out=out[:, start:stop])
+    """``out = coeff * dbar + decoded``, row by row and block by block."""
+    for j, (start, stop) in enumerate(blocks):
+        np.multiply(dbar[:, start:stop], coeff[:, j:j + 1], out=out[:, start:stop])
     out += decoded
 
 
@@ -243,9 +227,9 @@ def client_round(cfg: AlgorithmConfig, clients: Clients, g: np.ndarray, keys,
     kind = cfg.kind
 
     if kind in _PROJECTING:
-        layers = layer_partition if cfg.projection_layerwise and layer_partition else None
+        blocks = resolve_blocks(cfg.projection_layerwise, layer_partition, g.shape[1])
         dbar = clients.history.mean()
-        coeff, carried = _decompose(g, dbar, layers)
+        coeff, carried = backend.project_decompose(g, dbar, blocks, PROJECTION_EPS)
         del g   # the caller passes its only reference: free the rows early
         if kind is AlgorithmKind.PROJFL_EF:
             coeff *= cfg.eta
@@ -253,7 +237,7 @@ def client_round(cfg: AlgorithmConfig, clients: Clients, g: np.ndarray, keys,
             carried += clients.error
         msg = compress(cfg.compressor, carried, keys, layer_partition)
         decoded = decode(msg)
-        _direction(coeff, dbar, decoded, layers, out=clients.history.push())
+        _direction(coeff, dbar, decoded, blocks, out=clients.history.push())
         if kind is AlgorithmKind.PROJFL_EF:
             np.subtract(carried, decoded, out=clients.error)
         return ClientUpload(msg, coeff)
@@ -283,8 +267,10 @@ def server_round(cfg: AlgorithmConfig, server: Server, upload: ClientUpload,
                  layer_partition=None):
     """Aggregate one round's upload (a row per client) into the next model.
 
-    ``layer_partition`` is only consulted when the upload carries per-layer
-    projection coefficients (layerwise projection enabled).
+    The projecting kinds rebuild each client's direction on the blocks the
+    client projected on, resolved from ``cfg.projection_layerwise`` and
+    ``layer_partition`` as :func:`client_round` resolves them; an upload
+    with one coefficient column per block is required.
     """
     decoded = decode(upload.msg)
     if len(decoded) != server.n_clients:
@@ -293,9 +279,14 @@ def server_round(cfg: AlgorithmConfig, server: Server, upload: ClientUpload,
     server.round_index += 1
 
     if kind in _PROJECTING:
+        blocks = resolve_blocks(cfg.projection_layerwise, layer_partition, decoded.shape[1])
+        if upload.coeff.shape[1] != len(blocks):
+            raise ValueError(f"{upload.coeff.shape[1]} projection coefficients per client "
+                             f"but {len(blocks)} blocks: per-layer coefficients require "
+                             f"layer_partition")
         dbar = server.mirror_history.mean()
         directions = server.mirror_history.push()
-        _direction(upload.coeff, dbar, decoded, layer_partition, out=directions)
+        _direction(upload.coeff, dbar, decoded, blocks, out=directions)
         step = cfg.eta if kind is AlgorithmKind.PROJFL else 1.0
         server.w = server.w - step * np.mean(directions, axis=0)
     elif kind in (AlgorithmKind.FEDAVG, AlgorithmKind.EF):

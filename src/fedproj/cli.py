@@ -284,7 +284,7 @@ def _read_metrics(path):
     """Seed results of a metrics CSV; a fault names the path."""
     try:
         return read_metrics_csv(path)
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 

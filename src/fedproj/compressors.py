@@ -20,20 +20,22 @@ Four kinds are supported:
   ``norm * sign * level/s`` where ``level`` rounds ``s*|g_j|/norm``
   stochastically up or down so the operator is unbiased.
 
-Sparsifiers honor the layer partition passed to :func:`compress` when
-``layerwise`` is set (each layer keeps its own
-``k_eff = max(1, round(k_fraction * layer_dim))``); quantization always acts
-on the flat vector, so ``layerwise`` QSGD is rejected.
+:func:`resolve_blocks` decides which ``(start, stop)`` blocks an operation
+acts on: the layers when its flag (``layerwise``, or the projection's
+``projection_layerwise``) is set and there are layers, else the flat vector
+as the one block ``((0, d),)``.  Sparsifiers keep ``k_eff = max(1,
+round(k_fraction * block_dim))`` per block; quantization always acts on the
+flat vector, so ``layerwise`` QSGD is rejected.
 
 Certificates
 ------------
 ``estimate_beta`` returns the unbiased second-moment factor (``E||C(g)||^2 <=
-beta ||g||^2``): 1 for identity, worst-layer ``dim/k_eff`` for randk, and the
+beta ||g||^2``): 1 for identity, worst-block ``dim/k_eff`` for randk, and the
 standard closed-form bound ``1 + min(d/s^2, sqrt(d)/s)`` for qsgd (validated
 by Monte-Carlo in the test suite rather than asserted analytically).
 
 ``estimate_delta`` returns the contraction factor (``E||C(g)-g||^2 <=
-(1-delta) ||g||^2``): worst-layer ``k_eff/dim`` for topk, 1 for identity.
+(1-delta) ||g||^2``): worst-block ``k_eff/dim`` for topk, 1 for identity.
 For the unbiased kinds it returns ``1/beta``, the delta implied by the
 standard scaling argument; note that this certifies the ``(1/beta)``-scaled
 operator, not the operator actually applied, so it is informational and the
@@ -44,12 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from . import backend
-from .vectors import LayerPartition
 
 __all__ = [
     "CompressorKind",
@@ -63,8 +64,19 @@ __all__ = [
     "estimate_beta",
     "estimate_delta",
     "k_eff",
+    "LayerPartition",
+    "resolve_blocks",
     "BiasedCompressorError",
 ]
+
+LayerPartition = Tuple[Tuple[int, int], ...]
+
+
+def resolve_blocks(flag: bool, layer_partition: Optional[LayerPartition],
+                   dim: int) -> LayerPartition:
+    """The ``(start, stop)`` blocks an operation acts on: the layers when
+    ``flag`` is set and there are layers, else the one block ``((0, dim),)``."""
+    return layer_partition if flag and layer_partition else ((0, dim),)
 
 
 class BiasedCompressorError(ValueError):
@@ -157,8 +169,8 @@ def compress(spec: CompressorSpec, x: np.ndarray, keys=None,
     encodes ``x[r]``.
 
     ``keys`` (one stream key per row) drive the random kinds (randk, qsgd)
-    and are ignored otherwise.  ``layer_partition`` is used by the
-    ``layerwise`` sparsifiers.  An all-zero row short-circuits qsgd to an
+    and are ignored otherwise.  The sparsifiers act on the blocks of
+    :func:`resolve_blocks`.  An all-zero row short-circuits qsgd to an
     empty message, since its magnitude ratios are undefined at norm zero.
     """
     kind = spec.kind
@@ -179,11 +191,10 @@ def compress(spec: CompressorSpec, x: np.ndarray, keys=None,
                 x[live], spec.s_levels, keys[live], 0)
         return QuantizedPayload(norm, signs, levels, spec.s_levels)
 
-    layers = layer_partition if spec.layerwise and layer_partition else ((0, d),)
     idx_parts = []
     val_parts = []
     word = 0
-    for start, stop in layers:
+    for start, stop in resolve_blocks(spec.layerwise, layer_partition, d):
         ldim = stop - start
         k = k_eff(spec.k_fraction, ldim)
         block = x[:, start:stop]
@@ -212,13 +223,6 @@ def decode(payload: Payload) -> np.ndarray:
     return np.where(payload.signs == 1, -magnitudes, magnitudes)
 
 
-def _worst_layer_dims(dim: int, layer_partition: Optional[LayerPartition],
-                      spec: CompressorSpec):
-    if spec.layerwise and layer_partition:
-        return [(stop - start) for start, stop in layer_partition]
-    return [dim]
-
-
 def estimate_beta(spec: CompressorSpec, dim: int,
                   layer_partition: Optional[LayerPartition] = None) -> float:
     """Second-moment certificate for the unbiased kinds (see module docs)."""
@@ -227,8 +231,8 @@ def estimate_beta(spec: CompressorSpec, dim: int,
     if spec.kind is CompressorKind.IDENTITY:
         return 1.0
     if spec.kind is CompressorKind.RANDK:
-        return max(ld / k_eff(spec.k_fraction, ld)
-                   for ld in _worst_layer_dims(dim, layer_partition, spec))
+        return max((stop - start) / k_eff(spec.k_fraction, stop - start)
+                   for start, stop in resolve_blocks(spec.layerwise, layer_partition, dim))
     s = spec.s_levels
     return 1.0 + min(dim / s**2, np.sqrt(dim) / s)
 
@@ -239,8 +243,8 @@ def estimate_delta(spec: CompressorSpec, dim: int,
     if spec.kind is CompressorKind.IDENTITY:
         return 1.0
     if spec.kind is CompressorKind.TOPK:
-        return min(k_eff(spec.k_fraction, ld) / ld
-                   for ld in _worst_layer_dims(dim, layer_partition, spec))
+        return min(k_eff(spec.k_fraction, stop - start) / (stop - start)
+                   for start, stop in resolve_blocks(spec.layerwise, layer_partition, dim))
     return 1.0 / estimate_beta(spec, dim, layer_partition)
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,13 +91,6 @@ __all__ = [
     "read_metrics_csv",
     "CSV_COLUMNS",
 ]
-
-CSV_COLUMNS = [
-    "seed", "round", "loss", "loss_gap", "grad_norm_sq", "dist_to_opt_sq",
-    "err_mean_sq", "err_norm", "uplink_bits", "downlink_bits",
-    "cum_uplink_bits", "cum_downlink_bits", "cum_total_bits",
-]
-
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
@@ -162,8 +155,13 @@ class RunConfig:
             raise ValueError("rounds must be >= 0")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
+        if not self.divergence_threshold > 0.0:
+            raise ValueError(f"divergence_threshold must be > 0, got "
+                             f"{self.divergence_threshold}")
 
 
 @dataclass(frozen=True)
@@ -183,6 +181,10 @@ class RoundMetrics:
     @property
     def cum_total_bits(self) -> int:
         return self.cum_uplink_bits + self.cum_downlink_bits
+
+
+# the metrics CSV: the seed, every RoundMetrics field, then cum_total_bits
+CSV_COLUMNS = ["seed", *(f.name for f in fields(RoundMetrics)), "cum_total_bits"]
 
 
 @dataclass
@@ -517,9 +519,9 @@ def _gather_constants(obj, need_w_star: bool, need_f_star: bool):
 def precheck(item: str, obj: FederatedObjective, cfg: RunConfig) -> Optional[VerifierReport]:
     """The checks of :func:`verify` that need no run.
 
-    Raises VerifierError on misuse (unknown item, wrong algorithm, eta above
-    the cap); returns the SKIPPED report when the bound does not apply, else
-    None.
+    Raises VerifierError on misuse (unknown item, wrong algorithm, a
+    recording cadence other than 1, eta above the cap); returns the SKIPPED
+    report when the bound does not apply, else None.
     """
     kind, misuse, _, _ = _applies(item)
     eta = cfg.algorithm.eta
@@ -528,6 +530,8 @@ def precheck(item: str, obj: FederatedObjective, cfg: RunConfig) -> Optional[Ver
     reason = skip_reason(item, obj, cfg)
     if reason is not None:
         return VerifierReport(item, "SKIPPED", reason, eta, {}, [])
+    if cfg.cadence != 1:
+        raise VerifierError("verifiers need per-round metrics (cadence=1)")
     cap = eta_cap(item, obj, _certificate(item, obj, cfg))
     if cap is not None and eta > cap * (1 + 1e-12):
         raise VerifierError(f"eta={eta} exceeds the item-{item[-1]} cap {cap}")
@@ -553,8 +557,6 @@ def verify(item: str, results: Sequence[SeedResult], obj: FederatedObjective,
            if r.diverged_at is not None or r.rows[-1].round < cfg.rounds]
     if bad:
         raise VerifierError(f"seeds {bad} diverged; bounds do not apply")
-    if cfg.cadence != 1:
-        raise VerifierError("verifiers need per-round metrics (cadence=1)")
     eta = cfg.algorithm.eta
     cert = _certificate(item, obj, cfg)
     # H3 constant: both supported distributions satisfy E||xi||^2 <= sigma^2
@@ -701,38 +703,37 @@ def _fmt(x) -> str:
 
 
 def write_metrics_csv(path, results: Sequence[SeedResult]):
-    """One row per (seed, round); floats at 17 significant digits."""
+    """One row per (seed, round) in :data:`CSV_COLUMNS` order; floats at 17
+    significant digits, a missing metric as an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for res in sorted(results, key=lambda r: r.seed):
             for m in res.rows:
-                writer.writerow([
-                    res.seed, m.round, _fmt(m.loss), _fmt(m.loss_gap),
-                    _fmt(m.grad_norm_sq), _fmt(m.dist_to_opt_sq),
-                    _fmt(m.err_mean_sq), _fmt(m.err_norm),
-                    m.uplink_bits, m.downlink_bits,
-                    m.cum_uplink_bits, m.cum_downlink_bits, m.cum_total_bits,
-                ])
+                writer.writerow([_fmt(res.seed),
+                                 *(_fmt(getattr(m, name)) for name in CSV_COLUMNS[1:])])
+
+
+# how each RoundMetrics field is read back, by its annotation
+_PARSE = {"int": int, "float": float,
+          "Optional[float]": lambda s: None if s == "" else float(s)}
 
 
 def read_metrics_csv(path) -> List[SeedResult]:
     """Rebuild seed results (metrics only) from a CSV written by this module."""
     per_seed: Dict[int, List[RoundMetrics]] = {}
+    parsers = [(f.name, _PARSE[f.type]) for f in fields(RoundMetrics)]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != CSV_COLUMNS:
             raise ValueError("unrecognized metrics CSV header")
         for row in reader:
-            seed = int(row[0])
-            opt = lambda s: None if s == "" else float(s)
-            m = RoundMetrics(
-                round=int(row[1]), loss=float(row[2]), loss_gap=opt(row[3]),
-                grad_norm_sq=float(row[4]), dist_to_opt_sq=opt(row[5]),
-                err_mean_sq=opt(row[6]), err_norm=opt(row[7]),
-                uplink_bits=int(row[8]), downlink_bits=int(row[9]),
-                cum_uplink_bits=int(row[10]), cum_downlink_bits=int(row[11]))
-            per_seed.setdefault(seed, []).append(m)
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"line {reader.line_num} has {len(row)} fields, "
+                                 f"expected {len(CSV_COLUMNS)}")
+            m = RoundMetrics(**{name: parse(cell)
+                                for (name, parse), cell in zip(parsers, row[1:])})
+            per_seed.setdefault(int(row[0]), []).append(m)
     if not per_seed:
         raise ValueError("no metrics rows")
     return [SeedResult(seed, rows) for seed, rows in sorted(per_seed.items())]

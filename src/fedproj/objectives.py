@@ -87,8 +87,8 @@ class NoiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "distribution", NoiseKind(self.distribution))
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     def draw(self, dim: int, keys) -> np.ndarray:
         """``(R, dim)`` noise rows, row ``r`` from the stream keyed ``keys[r]``.
@@ -97,8 +97,6 @@ class NoiseModel:
         from the next uniform of the same stream.
         """
         keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-        if self.sigma == 0.0:
-            return np.zeros((keys.shape[0], dim))
         rows = backend.stream_normals(keys, 0, dim)
         if self.distribution is NoiseKind.GAUSSIAN_ISO:
             rows *= self.sigma / np.sqrt(dim)
@@ -381,8 +379,8 @@ def make_logistic(M: int, d: int, seed: int, samples_per_client: int,
     """
     if samples_per_client < 1:
         raise ValueError("samples_per_client must be >= 1")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     scale = 2.0 / np.sqrt(d)
     shared = derive_stream(seed, M, 0, StreamPurpose.DATA_SHUFFLE).normals(d) * scale
     features, labels = [], []

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Tuple
 
 import numpy as np
 
@@ -26,8 +25,6 @@ __all__ = [
     "derive_stream",
     "stream_keys",
 ]
-
-LayerPartition = Tuple[Tuple[int, int], ...]
 
 # distinct odd offsets decorrelating the key-derivation chain stages
 _CLIENT_SALT = 0xD1B54A32D192ED03

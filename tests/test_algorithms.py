@@ -65,7 +65,10 @@ def newest(history):
 
 
 def decompose(g, dbar):
-    return backend.project_decompose(np.atleast_2d(g), np.atleast_2d(dbar), PROJECTION_EPS)
+    """The flat projection: every row as the one block."""
+    g, dbar = np.atleast_2d(g), np.atleast_2d(dbar)
+    alpha, perp = backend.project_decompose(g, dbar, ((0, g.shape[1]),), PROJECTION_EPS)
+    return alpha[:, 0], perp
 
 
 class TestProjectDecompose:
@@ -104,6 +107,29 @@ class TestProjectDecompose:
         assert alpha[0] == 0.0
         assert np.array_equal(perp[0], g)
 
+    def test_blocks_equal_per_slice_calls(self):
+        """Each block's coefficients and remainder are a one-block call on its
+        slice, bit for bit.  A block whose dbar is zero passes g through, its
+        signed zeros included."""
+        rng = np.random.default_rng(3)
+        g, dbar = rng.standard_normal((2, 4, 8))
+        dbar[:, 2:5] = -0.0
+        g[:, 2] = -0.0
+        blocks = ((0, 2), (2, 5), (5, 8))
+        alpha, perp = backend.project_decompose(g, dbar, blocks, PROJECTION_EPS)
+        assert alpha.shape == (4, 3) and perp.shape == (4, 8)
+        for j, (start, stop) in enumerate(blocks):
+            a, p = backend.project_decompose(g[:, start:stop].copy(),
+                                             dbar[:, start:stop].copy(),
+                                             ((0, stop - start),), PROJECTION_EPS)
+            assert alpha[:, j].tobytes() == a[:, 0].tobytes()
+            assert perp[:, start:stop].tobytes() == p.tobytes()
+        assert not alpha[:, 1].any()
+        assert perp[:, 2:5].tobytes() == g[:, 2:5].tobytes()
+        for gr, dr, ar, pr in zip(g[:, :2], dbar[:, :2], alpha[:, 0], perp[:, :2]):
+            a0 = float(np.dot(gr, dr)) / float(np.dot(dr, dr))
+            assert ar == a0 and pr.tobytes() == (gr - a0 * dr).tobytes()
+
 
 class TestHistoryAverage:
     def test_round0_zero(self):
@@ -141,7 +167,7 @@ class TestClientRound:
         clients = init_clients(cfg, 1, 3)
         g = np.array([[1.0, -2.0, 0.5]])
         up = client_round(cfg, clients, g, None)
-        assert up.coeff.tolist() == [0.0]
+        assert up.coeff.tolist() == [[0.0]]
         assert np.array_equal(up.msg.values, g)
         assert np.array_equal(newest(clients.history), g)
 
@@ -156,7 +182,7 @@ class TestClientRound:
         clients = init_clients(cfg, 1, 2)
         up = client_round(cfg, clients, np.array([[4.0, 0.0]]), None)
         assert newest(clients.history)[0].tolist() == [1.0, 0.0]  # eta*g at round 0
-        assert up.coeff.tolist() == [0.0]
+        assert up.coeff.tolist() == [[0.0]]
 
     def test_ef_error_update(self):
         cfg = cfg_for(AlgorithmKind.EF, compressor=TOPK_HALF, zeta=0.75)

@@ -90,6 +90,9 @@ class TestVerifyPrecheck:
         ("t2.1", dict(EF, eta=2.0), "eta=2.0 exceeds the item-1 cap 0.09128709291752768"),
         ("t2.2", dict(EF, eta=2.0), "eta=2.0 exceeds the item-2 cap 0.11180339887498948"),
         ("t2.3", dict(EF, eta=2.0), "eta=2.0 exceeds the item-3 cap 0.125"),
+        ("t1.1", dict(cadence=3), "verifiers need per-round metrics (cadence=1)"),
+        ("t9.9", {}, "unknown item 't9.9' (choose from t1.1, t1.2, t1.3, t2.1, t2.2, "
+                     "t2.3, lemmaA1)"),
     ])
     def test_misuse_message(self, tmp_path, capsys, item, values, message):
         cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=3, **values)
@@ -225,6 +228,28 @@ class TestDefinedExits:
         assert report["status"] == "FAIL" and report["lhs"] > report["rhs"]
         assert capsys.readouterr().out.startswith(f"{item}: FAIL (")
 
+    def test_lemma_fail_is_exit_3(self, tmp_path, capsys):
+        """One round's error norm scaled by 1e3 in every seed breaks the lemma
+        at that round alone."""
+        cfg = write_cfg(tmp_path / "c.cfg", **TestReproduction.CFG)
+        argv = ["verify", str(cfg), "--item", "lemmaA1", "--out", str(tmp_path),
+                "--jobs", "1"]
+        assert main(argv) == 0
+        metrics = tmp_path / "c" / "metrics.csv"
+        with open(metrics, newline="") as fh:
+            rows = list(csv.reader(fh))
+        j = rows[0].index("err_norm")
+        for row in rows[1:]:
+            if row[1] == "5":
+                row[j] = repr(float(row[j]) * 1e3)
+        with open(metrics, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main(argv + ["--reuse", str(metrics)]) == 3
+        assert capsys.readouterr().out.startswith("lemmaA1: FAIL (violated at rounds [5])\n")
+        report = json.loads((tmp_path / "c" / "report_lemmaA1.json").read_text())
+        assert report["status"] == "FAIL"
+
     def test_nonfinite_iterate_is_divergence(self, tmp_path, capsys):
         # the norm guard alone never fires at an infinite threshold
         cfg = write_cfg(tmp_path / "c.cfg", name="c", objective="logistic", dim=6, clients=3,
@@ -271,6 +296,18 @@ class TestDefinedExits:
         exported = tmp_path / "export.json"
         assert main(["export", str(tmp_path / "c"), "--output", str(exported)]) == 0
         assert exported.read_bytes() == (tmp_path / "c" / "summary.json").read_bytes()
+        capsys.readouterr()
+        assert main(["export", str(tmp_path / "c")]) == 0     # to stdout
+        assert capsys.readouterr() == ((tmp_path / "c" / "summary.json").read_text(), "")
+
+    def test_comma_list_seeds(self, tmp_path):
+        """A comma list keeps its order in the echoed config; the rows come
+        sorted by seed."""
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=2, seeds="5,2")
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 0
+        with open(tmp_path / "c" / "metrics.csv", newline="") as fh:
+            assert [row[0] for row in list(csv.reader(fh))[1:]] == ["2"] * 3 + ["5"] * 3
+        assert "seeds = 5,2\n" in (tmp_path / "c" / "effective_config.cfg").read_text()
 
     @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.1"]])
     def test_missing_config_is_one_line_exit_1(self, tmp_path, capsys, command):
@@ -335,6 +372,29 @@ class TestRefusedInputs:
         kind = values.get("objective", "quadratic")
         assert capsys.readouterr() == ("", f"error: {cfg}: {key} = true needs an objective "
                                            f"with layers (tiny_mlp); {kind} has none\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.2"]])
+    @pytest.mark.parametrize("values, message", [
+        (dict(sigma="nan"), "sigma must be finite and >= 0, got nan"),
+        (dict(sigma="inf"), "sigma must be finite and >= 0, got inf"),
+        (dict(LOGI, ridge="nan"), "cannot build the objective: ridge must be finite and "
+                                  ">= 0, got nan"),
+        (dict(divergence_threshold="nan"), "divergence_threshold must be > 0, got nan"),
+        (dict(divergence_threshold=0.0), "divergence_threshold must be > 0, got 0.0"),
+        (dict(divergence_threshold=-1.0), "divergence_threshold must be > 0, got -1.0"),
+        (dict(seeds="1,1"), "seeds must be distinct, got [1, 1]"),
+    ], ids=["sigma-nan", "sigma-inf", "ridge-nan", "threshold-nan", "threshold-zero",
+            "threshold-negative", "repeated-seed"])
+    def test_value_that_would_run_wrong(self, tmp_path, capsys, command, values, message):
+        """Each of these once ran: noiseless, diverged at round 1, or with a
+        seed counted twice."""
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=2, **values)
+        argv = [command[0], str(cfg), *command[1:], "--out", str(tmp_path), "--jobs", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n") \
+            and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_certify_has_no_layerwise_flag(self, capsys):
@@ -466,6 +526,7 @@ class TestConfigErrors:
         ("eta = 0.2", "duplicate key 'eta'"),
         ("rounds = three", "bad value for rounds"),
         ("output_rule = last", "unknown key 'output_rule'"),
+        ("layerwise = maybe", "bad value for layerwise: expected a boolean, got 'maybe'"),
     ])
     @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.1"]])
     def test_error_names_path_and_line(self, tmp_path, capsys, command, line, message):

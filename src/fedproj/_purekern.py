@@ -62,19 +62,19 @@ def stream_uniforms(keys, start: int, n: int) -> np.ndarray:
 def stream_normals(keys, start: int, n: int) -> np.ndarray:
     """``(R, n)`` standard normals; each row consumes ``2 * ceil(n / 2)`` words."""
     m = (n + 1) // 2
-    u1 = _top53(stream_words(keys, start, m))
+    u = _top53(stream_words(keys, start, 2 * m))
+    u1, u2 = u[:, :m], u[:, m:]
     u1 += 1.0
-    u1 *= _INV_2_53                                    # (0, 1]
-    u2 = stream_uniforms(keys, start + m, m)
+    u *= _INV_2_53                                     # u1 in (0, 1], u2 in [0, 1)
     r = np.log(u1)
-    del u1
     r *= -2.0
-    r = np.sqrt(r)
+    np.sqrt(r, out=r)
     u2 *= 2.0 * np.pi                                  # theta
-    out = np.empty((r.shape[0], 2 * m))
-    out[:, :m] = r * np.cos(u2)
-    out[:, m:] = r * np.sin(u2)
-    return out[:, :n]
+    out = np.empty((len(u), 2, m))                    # cos half, then sin half
+    np.cos(u2, out=out[:, 0])
+    np.sin(u2, out=out[:, 1])
+    out *= r[:, None]
+    return out.reshape(len(u), 2 * m)[:, :n]
 
 
 def stream_subset(keys, start: int, pop: int, k: int) -> np.ndarray:
@@ -84,10 +84,11 @@ def stream_subset(keys, start: int, pop: int, k: int) -> np.ndarray:
     Partial Fisher-Yates driven by the stream's uniforms, all rows at once.
     """
     u = stream_uniforms(keys, start, k)
+    # step j swaps j with j + floor(u_j (pop - j))
+    swaps = (u * np.arange(pop, pop - k, -1)).astype(np.int64) + np.arange(k)
     rows = np.arange(u.shape[0])
     idx = np.tile(np.arange(pop, dtype=np.int64), (u.shape[0], 1))
-    for j in range(k):
-        r = j + (u[:, j] * (pop - j)).astype(np.int64)
+    for j, r in enumerate(swaps.T):
         picked = idx[rows, r]
         idx[rows, r] = idx[:, j]
         idx[:, j] = picked
@@ -126,22 +127,22 @@ def project_decompose(g: np.ndarray, dbar: np.ndarray, blocks, eps: float):
     returns ``alpha``, ``(R, len(blocks))``, and the remainders as one
     ``(R, d)`` array.  The flat projection is the one block ``((0, d),)``.
     A block with ``||dbar[r, start:stop]||^2 <= eps`` degenerates to
-    ``alpha = 0`` and remainder ``g``.  The inner products are one ``np.dot``
-    per row and block.
+    ``alpha = 0`` and remainder ``g``.  Each block's two inner products are
+    one ``np.vecdot`` over the rows (one BLAS ``ddot`` per row, as ``np.dot``
+    per row).  A one-wide block takes the bare product, as ``np.dot`` does,
+    where ``np.vecdot`` would add it to ``+0.0`` and lose a zero's sign.
     """
     alpha = np.zeros((len(g), len(blocks)))
     perp = np.empty(g.shape)
     for j, (start, stop) in enumerate(blocks):
         gb, db, out = g[:, start:stop], dbar[:, start:stop], perp[:, start:stop]
-        flat = np.ones(len(g), dtype=bool)
-        for r in range(len(g)):
-            nd = float(np.dot(db[r], db[r]))
-            if nd > eps:
-                alpha[r, j] = float(np.dot(gb[r], db[r])) / nd
-                flat[r] = False
+        nd = np.vecdot(db, db)
+        gd = gb[:, 0] * db[:, 0] if stop - start == 1 else np.vecdot(gb, db)
+        live = nd > eps
+        np.divide(gd, nd, out=alpha[:, j], where=live)
         np.multiply(db, alpha[:, j:j + 1], out=out)
         np.subtract(gb, out, out=out)
-        np.copyto(out, gb, where=flat[:, None])
+        np.copyto(out, gb, where=~live[:, None])
     return alpha, perp
 
 
@@ -149,12 +150,13 @@ def qsgd_encode(values: np.ndarray, s: int, keys, start: int):
     """Dictionary quantization of each row of ``values`` with ``s`` levels.
 
     Returns ``(norm, signs, levels)``: ``norm[r]`` is the row's l2 norm (one
-    ``np.dot`` per row), ``signs[r, j]`` is 1 for negative entries and
-    ``levels[r, j] in [0, s]`` is the stochastic numerator of the quantized
-    magnitude ``levels / s``.  Each row consumes ``values.shape[1]`` words of
-    its stream.  Every row must have a nonzero norm.
+    ``np.vecdot`` over the rows, one BLAS ``ddot`` per row), ``signs[r, j]``
+    is 1 for negative entries and ``levels[r, j] in [0, s]`` is the
+    stochastic numerator of the quantized magnitude ``levels / s``.  Each row
+    consumes ``values.shape[1]`` words of its stream.  Every row must have a
+    nonzero norm.
     """
-    norm = np.array([np.sqrt(np.dot(row, row)) for row in values])
+    norm = np.sqrt(np.vecdot(values, values))
     signs = (values < 0.0).astype(np.uint8)
     scaled = np.abs(values)
     scaled *= (s / norm)[:, None]

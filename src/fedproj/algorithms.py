@@ -38,9 +38,9 @@ the flat projection is the one block ``((0, d),)``.  State layout:
   memories are ``(M, d)`` arrays.
 
 Inner products (the projection coefficients, ``||Dbar||^2``) are one
-``np.dot`` per row and block, and the server reduces the ``(M, d)``
-directions with one ``np.mean(..., axis=0)``, so every number equals what a
-loop over the clients computes.
+``np.vecdot`` over the rows per block, one BLAS ``ddot`` per row, and the
+server reduces the ``(M, d)`` directions with one ``np.mean(..., axis=0)``,
+so every number equals what a loop over the clients computes.
 
 The projecting and difference-compressing families need the server to hold a
 bit-exact mirror of each client's direction state.  The server rebuilds its

@@ -219,8 +219,9 @@ def decode(payload: Payload) -> np.ndarray:
         out = np.zeros((payload.indices.shape[0], payload.dim))
         np.put_along_axis(out, payload.indices, payload.values, axis=1)
         return out
-    magnitudes = payload.norm[:, None] * payload.levels / payload.s_levels
-    return np.where(payload.signs == 1, -magnitudes, magnitudes)
+    m = payload.norm[:, None] * payload.levels / payload.s_levels
+    # sign 1 copies the sign of -0.5: a negative entry at level 0 decodes to -0.0
+    return np.copysign(m, np.subtract(0.5, payload.signs, dtype=np.float64), out=m)
 
 
 def estimate_beta(spec: CompressorSpec, dim: int,

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -204,7 +203,7 @@ def _metrics_row(obj, t, w_arr, clients, losses, grads, up_bits, down_bits, cum_
         dist = float(diff @ diff)
     err_mean_sq = err_norm = None
     if clients.error is not None:
-        err_mean_sq = float(np.mean([e @ e for e in clients.error]))
+        err_mean_sq = float(np.mean(np.vecdot(clients.error, clients.error)))
         err_norm = float(np.linalg.norm(np.mean(clients.error, axis=0)))
     return RoundMetrics(t, loss, loss_gap, float(grad @ grad), dist,
                         err_mean_sq, err_norm, up_bits, down_bits, cum_up, cum_down)
@@ -287,6 +286,8 @@ def run(config: RunConfig, jobs: int = 1,
     if jobs <= 1 or len(config.seeds) == 1:
         results = [run_seed(config, obj, s) for s in config.seeds]
     else:
+        # imported here: a --jobs 1 command never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(obj,)) as pool:
             results = list(pool.map(_run_seed_worker,
@@ -324,7 +325,8 @@ def locate_optimum(obj: FederatedObjective):
 
     Logistic ``f`` is minimized from ``w = 0`` by Newton steps whose
     direction solves ``H p = -g`` by conjugate gradients on exact
-    Hessian-vector products (:meth:`LogisticObjective.hess_vec`), to the
+    Hessian-vector products (:meth:`LogisticObjective.hess_operator`, whose
+    curvature weights are computed once per Newton step), to the
     forcing tolerance ``min(1/2, sqrt(||g||)) ||g||``.  A step halves until
     ``f`` falls by ``1e-4`` of the predicted decrease ``-g.p``.  Once ``-g.p``
     is below ``64 eps f``, ``f`` no longer resolves progress: full steps
@@ -368,6 +370,7 @@ def _newton_direction(obj, w: np.ndarray, g: np.ndarray, tol: float) -> np.ndarr
     """Conjugate gradients on ``H(w) p = -g`` from ``p = 0`` until the
     residual is at most ``tol``, for at most ``d`` iterations; a direction of
     non-positive curvature ends the solve (at ``-g`` if it is the first)."""
+    hess = obj.hess_operator(w)
     p = np.zeros_like(g)
     r = -g
     direction = r
@@ -375,7 +378,7 @@ def _newton_direction(obj, w: np.ndarray, g: np.ndarray, tol: float) -> np.ndarr
     for _ in range(obj.d):
         if math.sqrt(rr) <= tol:
             break
-        hd = obj.hess_vec(w, direction)
+        hd = hess(direction)
         curvature = float(direction @ hd)
         if curvature <= 0.0:
             return p if p.any() else -g

@@ -17,7 +17,7 @@ Three suites:
   certified from the data; ``(a, b)`` are estimated on a probe grid with
   ``b = 2`` fixed and are flagged empirical.  ``w*`` and ``f*`` have no
   closed form: ``harness.locate_optimum`` finds them by Newton-CG on the
-  exact Hessian-vector products of ``LogisticObjective.hess_vec``.  The
+  exact Hessian-vector products of ``LogisticObjective.hess_operator``.  The
   sigmoid is numpy's ``exp``, so no suite needs more than numpy.
 * ``tiny_mlp``: one hidden tanh layer with squared loss and hand-coded
   backprop; non-convex, ``mu = 0``, bounded below by 0, ``L`` is an empirical
@@ -178,7 +178,7 @@ class QuadraticObjective(FederatedObjective):
 
     def client_loss_grads(self, w):
         rows = w - self.centers
-        return [0.5 * float(r @ r) for r in rows], rows
+        return (0.5 * np.vecdot(rows, rows)).tolist(), rows
 
 
 class LogisticObjective(FederatedObjective):
@@ -238,13 +238,20 @@ class LogisticObjective(FederatedObjective):
     def hess_vec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``grad^2 f(w) v = (1/M) sum_i X_i^T (s_i (1 - s_i) X_i v) / n_i
         + ridge v`` with ``s_i = sigma(X_i w)``."""
-        acc = None
-        for X in self.features:
-            with np.errstate(over="ignore"):
-                s = 1.0 / (1.0 + np.exp(-(X @ w)))
-            hv = X.T @ (s * (1.0 - s) * (X @ v)) / X.shape[0]
-            acc = hv if acc is None else acc + hv
-        return acc / self.M + self.ridge * v
+        return self.hess_operator(w)(v)
+
+    def hess_operator(self, w: np.ndarray):
+        """``v -> hess_vec(w, v)``, bit for bit, with the curvature weights
+        ``c_i = s_i (1 - s_i)`` computed once at ``w``: the product
+        ``s * (1 - s) * (X v)`` evaluates left to right."""
+        with np.errstate(over="ignore"):
+            sigmoids = [1.0 / (1.0 + np.exp(-(X @ w))) for X in self.features]
+        weights = [s * (1.0 - s) for s in sigmoids]
+
+        def apply(v):   # the clients' terms in fold's order, then / M
+            terms = [X.T @ (c * (X @ v)) / X.shape[0] for X, c in zip(self.features, weights)]
+            return self.fold((), terms)[1] + self.ridge * v
+        return apply
 
     def _estimate_dissimilarity(self):
         """Maximize the implied ``a`` at fixed ``b`` over a probe grid.
@@ -261,7 +268,7 @@ class LogisticObjective(FederatedObjective):
             nonlocal worst
             losses, rows = self.client_loss_grads(p)
             gbar = self.fold(losses, rows)[1]
-            mean_sq = np.mean([float(g @ g) for g in rows])
+            mean_sq = np.mean(np.vecdot(rows, rows))
             worst = max(worst, mean_sq - self.b * float(gbar @ gbar))
             return gbar
 
@@ -289,15 +296,10 @@ class TinyMlpObjective(FederatedObjective):
         self.d_in = d_in
         self.hidden = hidden
         self.M = len(features)
-        # parameters: W1 (hidden x d_in), b1, w2, b2
-        self._n_w1 = hidden * d_in
-        self.d = self._n_w1 + hidden + hidden + 1
-        self.layer_partition = (
-            (0, self._n_w1),
-            (self._n_w1, self._n_w1 + hidden),
-            (self._n_w1 + hidden, self._n_w1 + 2 * hidden),
-            (self._n_w1 + 2 * hidden, self.d),
-        )
+        # parameters, one layer each: W1 (hidden x d_in), b1, w2, b2
+        ends = np.cumsum([0, hidden * d_in, hidden, hidden, 1]).tolist()
+        self.layer_partition = tuple(zip(ends[:-1], ends[1:]))
+        self.d = ends[-1]
         self.mu = 0.0
         self.w_star = None
         self.f_star = None
@@ -308,36 +310,20 @@ class TinyMlpObjective(FederatedObjective):
         self.L = self._estimate_lipschitz()
 
     def _unpack(self, w):
-        h, din = self.hidden, self.d_in
-        W1 = w[:self._n_w1].reshape(h, din)
-        b1 = w[self._n_w1:self._n_w1 + h]
-        w2 = w[self._n_w1 + h:self._n_w1 + 2 * h]
-        b2 = w[-1]
-        return W1, b1, w2, b2
-
-    def _forward(self, i, w):
-        W1, b1, w2, b2 = self._unpack(w)
-        act = np.tanh(self.features[i] @ W1.T + b1)
-        return act, act @ w2 + b2
-
-    def _loss_from_pred(self, i, pred):
-        return 0.5 * float(np.mean((pred - self.targets[i]) ** 2))
+        W1, b1, w2, b2 = (w[start:stop] for start, stop in self.layer_partition)
+        return W1.reshape(self.hidden, self.d_in), b1, w2, b2[0]
 
     def _client_loss_grad(self, i, w):
-        act, pred = self._forward(i, w)
-        return self._loss_from_pred(i, pred), self._backward(i, w, act, pred)
-
-    def _backward(self, i, w, act, pred):
-        _, _, w2, _ = self._unpack(w)
+        """The forward pass, then backpropagation of the squared loss."""
+        W1, b1, w2, b2 = self._unpack(w)
         X, y = self.features[i], self.targets[i]
-        n = X.shape[0]
-        resid = (pred - y) / n
-        g_b2 = float(resid.sum())
-        g_w2 = act.T @ resid
+        act = np.tanh(X @ W1.T + b1)
+        pred = act @ w2 + b2
+        resid = (pred - y) / X.shape[0]
         back = (resid[:, None] * (1.0 - act ** 2)) * w2[None, :]
-        g_b1 = back.sum(axis=0)
-        g_W1 = back.T @ X
-        return np.concatenate([g_W1.ravel(), g_b1, g_w2, [g_b2]])
+        grad = np.concatenate([(back.T @ X).ravel(), back.sum(axis=0), act.T @ resid,
+                               [float(resid.sum())]])
+        return 0.5 * float(np.mean((pred - y) ** 2)), grad
 
     def _estimate_lipschitz(self) -> float:
         """Max gradient-difference ratio over sampled pairs; not a certificate."""

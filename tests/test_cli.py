@@ -162,6 +162,22 @@ class TestObjectiveBuild:
                              env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
         return out.splitlines()[-1]
 
+    def test_jobs_one_loads_no_process_pool(self, tmp_path):
+        """The pool machinery is imported only for ``--jobs`` above 1."""
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", dim=8, clients=3, centers="random",
+                        algorithm="projfl", compressor="randk", k_fraction=0.5, eta=0.1,
+                        rounds=3, seeds="0:2")
+        code = ("import sys\n"
+                "import fedproj.cli\n"
+                "pool = ('concurrent.futures', 'multiprocessing')\n"
+                "assert not set(pool) & set(sys.modules), 'loaded on import'\n"
+                f"code = fedproj.cli.main(['verify', {str(cfg)!r}, '--item', 't1.1', "
+                f"'--out', {str(tmp_path)!r}, '--jobs', '1'])\n"
+                "print(code, sorted(set(pool) & set(sys.modules)))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True).stdout
+        assert out.splitlines()[-1] == "0 []"
+
     def test_quadratic_verify_loads_no_scipy(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", name="c", dim=8, clients=3, centers="random",
                         algorithm="projfl", compressor="randk", k_fraction=0.5, eta=0.1,

@@ -282,6 +282,22 @@ class TestQsgd:
                                    levels=np.array([[1, 1]], np.int64), s_levels=1)
         assert decode(payload).tolist() == [[5.0, -5.0]]
 
+    def test_decode_equals_select_of_negated_magnitudes(self):
+        """The sign copy gives the bytes of ``where(signs == 1, -m, m)``: a
+        negative entry at level 0 decodes to ``-0.0``."""
+        payload = QuantizedPayload(norm=np.array([2.0]), signs=np.array([[1, 0, 1]], np.uint8),
+                                   levels=np.array([[0, 0, 2]], np.int64), s_levels=2)
+        assert decode(payload).tobytes() == np.array([[-0.0, 0.0, -2.0]]).tobytes()
+        rng = np.random.default_rng(12)
+        for s in (1, 3, 16):
+            norm = np.abs(rng.standard_normal(7)) * 10.0 ** rng.integers(-300, 300, 7)
+            norm[0] = 0.0
+            payload = QuantizedPayload(norm=norm,
+                                       signs=rng.integers(0, 2, (7, 50)).astype(np.uint8),
+                                       levels=rng.integers(0, s + 1, (7, 50)), s_levels=s)
+            m = payload.norm[:, None] * payload.levels / payload.s_levels
+            assert decode(payload).tobytes() == np.where(payload.signs == 1, -m, m).tobytes()
+
     def test_zero_vector_short_circuit(self):
         g = np.zeros((2, 6))
         g[1, 2] = -1.5

@@ -168,6 +168,23 @@ class TestLogistic:
             fd = (obj.loss_grad(w + step * v)[1] - obj.loss_grad(w - step * v)[1]) / (2 * step)
             assert np.linalg.norm(obj.hess_vec(w, v) - fd) <= 1e-6 * np.linalg.norm(fd)
 
+    def test_hess_operator_equals_hess_vec(self, obj):
+        """The weights cached at ``w`` give ``hess_vec``'s bytes for every ``v``,
+        and those of the product ``s (1 - s) (X v)`` computed at each call."""
+        rng = np.random.default_rng(10)
+        for scale in (0.0, 1.0, 40.0):
+            w = scale * rng.standard_normal(8)
+            hess = obj.hess_operator(w)
+            for _ in range(3):
+                v = rng.standard_normal(8)
+                acc = None
+                for X in obj.features:
+                    s = 1.0 / (1.0 + np.exp(-(X @ w)))
+                    hv = X.T @ (s * (1.0 - s) * (X @ v)) / X.shape[0]
+                    acc = hv if acc is None else acc + hv
+                want = acc / obj.M + obj.ridge * v
+                assert hess(v).tobytes() == obj.hess_vec(w, v).tobytes() == want.tobytes()
+
     def test_symmetric_data_zero_gradient_at_origin(self):
         from fedproj.objectives import LogisticObjective
         X = np.array([[1.0, 2.0], [-1.0, -2.0]])

@@ -153,19 +153,21 @@ def qsgd_encode(values: np.ndarray, s: int, keys, start: int):
     ``np.vecdot`` over the rows, one BLAS ``ddot`` per row), ``signs[r, j]``
     is 1 for negative entries and ``levels[r, j] in [0, s]`` is the
     stochastic numerator of the quantized magnitude ``levels / s``.  Each row
-    consumes ``values.shape[1]`` words of its stream.  Every row must have a
-    nonzero norm.
+    consumes ``values.shape[1]`` words of its stream.  An all-zero row
+    (``-0.0`` entries included) comes back as norm 0, signs 0 and levels 0.
     """
     norm = np.sqrt(np.vecdot(values, values))
     signs = (values < 0.0).astype(np.uint8)
     scaled = np.abs(values)
-    scaled *= (s / norm)[:, None]
-    low = np.floor(scaled)
-    np.minimum(low, s - 1, out=low)
-    p_low = 1.0 + low
-    p_low -= scaled                                     # P(level == low)
-    low += stream_uniforms(keys, start, values.shape[1]) >= p_low
-    # a row with a non-finite entry gets NaN levels; they become 0 and the
-    # row still decodes to non-finite values through its norm
+    # a zero row scales 0 * inf = NaN, and so does a row with a non-finite entry
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled *= (s / norm)[:, None]
+        low = np.floor(scaled)
+        np.minimum(low, s - 1, out=low)
+        p_low = 1.0 + low
+        p_low -= scaled                                 # P(level == low)
+        low += stream_uniforms(keys, start, values.shape[1]) >= p_low
+    # NaN levels become 0: a zero row decodes to zeros, and a non-finite row
+    # still decodes to non-finite values through its norm
     np.nan_to_num(low, copy=False)
     return norm, signs, low.astype(np.int64)

@@ -11,9 +11,9 @@ from ``compressors.compress`` and returns one count per row (client).
 ``serialize_message`` / ``deserialize_message`` give each row a canonical
 byte form whose length equals ``ceil(message_bits / 8)`` under the default
 cost model with zero header bits, so every charged bit is one a receiver
-can decode.  Quantized rows are bit-packed with ``np.packbits``: the sign
-bits, then each level in ``_level_bits`` bits, MSB first, zero-padded to a
-whole byte.
+can decode.  A quantized row, an all-zero one included, is its float32
+norm, then its bits packed with ``np.packbits``: the sign bits, then each
+level in ``_level_bits`` bits, MSB first, zero-padded to a whole byte.
 """
 
 from __future__ import annotations
@@ -79,17 +79,19 @@ def message_bits(model: CostModel, payload: Payload,
 
     ``extra_scalars`` counts side-channel scalars sent with each row (the
     projection coefficients of the projecting algorithms).  A quantized row
-    with norm 0 is an empty message: it costs no payload bits.
+    costs its norm and every coordinate's sign and level, whatever its norm.
     """
     if isinstance(payload, QuantizedPayload):
-        full = model.value_bits + payload.dim * (1 + _level_bits(payload.s_levels))
-        body = np.where(payload.norm == 0.0, 0, full)
+        rows = len(payload.norm)
+        body = model.value_bits + payload.dim * (1 + _level_bits(payload.s_levels))
     else:  # one value, and for a sparse payload one index, per kept coordinate
+        rows, kept = payload.values.shape
         per_value = model.value_bits
         if isinstance(payload, SparsePayload):
             per_value += index_bits(model, payload.dim)
-        body = np.full(payload.values.shape[0], payload.values.shape[1] * per_value)
-    return body.astype(np.int64) + (model.header_bits + extra_scalars * model.scalar_bits)
+        body = kept * per_value
+    return np.full(rows, body + model.header_bits + extra_scalars * model.scalar_bits,
+                   dtype=np.int64)
 
 
 def changed_coordinates(w_prev, w_next) -> int:
@@ -120,8 +122,6 @@ def serialize_message(payload: Payload, row: int = 0) -> bytes:
     if isinstance(payload, SparsePayload):
         return (np.asarray(payload.values[row], dtype="<f4").tobytes()
                 + np.asarray(payload.indices[row], dtype="<u4").tobytes())
-    if payload.norm[row] == 0.0:
-        return b""
     level_bits = (payload.levels[row][:, None] >> _level_shifts(payload.s_levels)) & 1
     bits = np.concatenate([payload.signs[row], level_bits.ravel()])
     return struct.pack("<f", payload.norm[row]) + np.packbits(bits).tobytes()
@@ -148,7 +148,7 @@ def deserialize_message(data: bytes, kind: str, dim: int,
         if s_levels is None:
             raise ValueError("quantized deserialization needs s_levels")
         n_bits = dim * (1 + _level_bits(s_levels))
-        expected = 4 + -(-n_bits // 8) if data else 0  # b"" is the empty message
+        expected = 4 + -(-n_bits // 8)
     else:
         raise ValueError(f"unknown payload kind {kind!r}")
     if len(data) != expected:
@@ -160,15 +160,13 @@ def deserialize_message(data: bytes, kind: str, dim: int,
         values = np.frombuffer(data, dtype="<f4", count=n_values).astype(np.float64)
         indices = np.frombuffer(data, dtype="<u4", offset=4 * n_values).astype(np.int64)
         return SparsePayload(indices[None, :], values[None, :], dim)
-    norm, signs, levels = 0.0, np.zeros(dim, np.uint8), np.zeros(dim, np.int64)
-    if data:
-        norm = struct.unpack("<f", data[:4])[0]
-        packed = np.frombuffer(data, dtype=np.uint8, offset=4)
-        pad = 8 * packed.size - n_bits
-        if pad and packed[-1] & ((1 << pad) - 1):
-            raise ValueError(f"a quantized message's {pad} padding bits must be zero")
-        bits = np.unpackbits(packed, count=n_bits)
-        signs = bits[:dim]
-        shifts = _level_shifts(s_levels)
-        levels = bits[dim:].reshape(dim, shifts.size) @ (1 << shifts)
+    norm = struct.unpack("<f", data[:4])[0]
+    packed = np.frombuffer(data, dtype=np.uint8, offset=4)
+    pad = 8 * packed.size - n_bits
+    if pad and packed[-1] & ((1 << pad) - 1):
+        raise ValueError(f"a quantized message's {pad} padding bits must be zero")
+    bits = np.unpackbits(packed, count=n_bits)
+    signs = bits[:dim]
+    shifts = _level_shifts(s_levels)
+    levels = bits[dim:].reshape(dim, shifts.size) @ (1 << shifts)
     return QuantizedPayload(np.array([norm]), signs[None, :], levels[None, :], s_levels)

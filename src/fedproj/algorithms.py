@@ -22,20 +22,24 @@ model.  What varies is the client-side bookkeeping:
   ``D' = beta * D + gamma * h + mean(decoded)`` and steps by ``eta``.
 
 The engine holds the state of all ``M`` clients as rows of arrays and runs a
-round as one computation over them.  :func:`client_round` turns the ``(M, d)``
-gradient rows into one batched :class:`ClientUpload` (the compressor's
-payload, a row per client, plus each row's projection coefficients) and
-updates :class:`Clients` in place; :func:`server_round` decodes that upload
-itself and steps :class:`Server`.  The projection acts on the blocks of
-:func:`~fedproj.compressors.resolve_blocks`: one coefficient per block, and
-the flat projection is the one block ``((0, d),)``.  State layout:
+round as one computation over them.  :func:`init_round` sets both sides of a
+run up at once: it resolves the projection's blocks
+(:func:`~fedproj.compressors.resolve_blocks`: one coefficient per block, and
+the flat projection is the one block ``((0, d),)``) and hands the same tuple
+to :class:`Clients` and :class:`Server`, so the server rebuilds every
+direction on the blocks the clients projected on.  :func:`client_round` turns
+the ``(M, d)`` gradient rows into one batched :class:`ClientUpload` (the
+compressor's payload, a row per client, plus each row's projection
+coefficients) and updates :class:`Clients` in place; :func:`server_round`
+decodes that upload itself and steps :class:`Server`.  State layout:
 
 * the projecting kinds keep each client's last ``K`` directions in a
   :class:`History`, a ``(K, M, d)`` ring buffer whose slots are ``(M, d)``
   blocks; the average is summed oldest first, as ``np.mean`` over the
   stacked directions does;
-* the error of ``ef``/``projfl_ef``, the ef21 directions and the diana
-  memories are ``(M, d)`` arrays.
+* the error of ``ef``/``projfl_ef`` is an ``(M, d)`` array, and so is the
+  ``state`` the difference-compressing kinds compress against: the ef21
+  directions or the diana memories, which one round rule advances.
 
 Inner products (the projection coefficients, ``||Dbar||^2``) are one
 ``np.vecdot`` over the rows per block, one BLAS ``ddot`` per row, and the
@@ -53,12 +57,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import backend
-from .compressors import CompressorSpec, Payload, compress, decode, resolve_blocks
+from .compressors import (CompressorSpec, LayerPartition, Payload, compress, decode,
+                          resolve_blocks)
 
 __all__ = [
     "AlgorithmKind",
@@ -67,8 +72,7 @@ __all__ = [
     "Clients",
     "Server",
     "ClientUpload",
-    "init_clients",
-    "init_server",
+    "init_round",
     "client_round",
     "server_round",
     "assert_mirror",
@@ -178,10 +182,11 @@ class History:
 class Clients:
     """Every client's state, one row each; :func:`client_round` updates it."""
 
+    blocks: LayerPartition                  # the projection's blocks
+    layer_partition: Optional[LayerPartition]  # the compressor's layers
     history: Optional[History] = None      # projecting kinds
     error: Optional[np.ndarray] = None     # (M, d), ef and projfl_ef
-    direction: Optional[np.ndarray] = None  # (M, d), ef21 family
-    memory: Optional[np.ndarray] = None    # (M, d), diana family
+    state: Optional[np.ndarray] = None     # (M, d), ef21 directions / diana memories
 
 
 @dataclass
@@ -191,6 +196,7 @@ class Server:
     round_index: int
     w: np.ndarray
     n_clients: int
+    blocks: LayerPartition                  # the clients' projection blocks
     mirror_history: Optional[History] = None
     mirror_direction: Optional[np.ndarray] = None
     memory: Optional[np.ndarray] = None     # (d,), diana family
@@ -219,17 +225,17 @@ def _direction(coeff: np.ndarray, dbar: np.ndarray, decoded: np.ndarray, blocks,
     out += decoded
 
 
-def client_round(cfg: AlgorithmConfig, clients: Clients, g: np.ndarray, keys,
-                 layer_partition=None) -> ClientUpload:
+def client_round(cfg: AlgorithmConfig, clients: Clients, g: np.ndarray,
+                 keys) -> ClientUpload:
     """One step of every client: the ``(M, d)`` gradient rows become one
     upload, and ``clients`` moves to the next round.  ``keys`` are the
     clients' compressor stream keys."""
     kind = cfg.kind
+    layer_partition = clients.layer_partition
 
     if kind in _PROJECTING:
-        blocks = resolve_blocks(cfg.projection_layerwise, layer_partition, g.shape[1])
         dbar = clients.history.mean()
-        coeff, carried = backend.project_decompose(g, dbar, blocks, PROJECTION_EPS)
+        coeff, carried = backend.project_decompose(g, dbar, clients.blocks, PROJECTION_EPS)
         del g   # the caller passes its only reference: free the rows early
         if kind is AlgorithmKind.PROJFL_EF:
             coeff *= cfg.eta
@@ -237,7 +243,7 @@ def client_round(cfg: AlgorithmConfig, clients: Clients, g: np.ndarray, keys,
             carried += clients.error
         msg = compress(cfg.compressor, carried, keys, layer_partition)
         decoded = decode(msg)
-        _direction(coeff, dbar, decoded, blocks, out=clients.history.push())
+        _direction(coeff, dbar, decoded, clients.blocks, out=clients.history.push())
         if kind is AlgorithmKind.PROJFL_EF:
             np.subtract(carried, decoded, out=clients.error)
         return ClientUpload(msg, coeff)
@@ -252,26 +258,19 @@ def client_round(cfg: AlgorithmConfig, clients: Clients, g: np.ndarray, keys,
         np.subtract(carried, decode(msg), out=clients.error)
         return ClientUpload(msg)
 
-    gamma = cfg.effective_gamma
-    state = clients.direction if kind in _EF21_FAMILY else clients.memory
-    kept = gamma * state
+    kept = cfg.effective_gamma * clients.state
     msg = compress(cfg.compressor, g - kept, keys, layer_partition)
     decoded = decode(msg)
     if kind in _DIANA_FAMILY:
         decoded *= cfg.diana_alpha
-    np.add(kept, decoded, out=state)
+    np.add(kept, decoded, out=clients.state)
     return ClientUpload(msg)
 
 
-def server_round(cfg: AlgorithmConfig, server: Server, upload: ClientUpload,
-                 layer_partition=None):
+def server_round(cfg: AlgorithmConfig, server: Server, upload: ClientUpload):
     """Aggregate one round's upload (a row per client) into the next model.
-
-    The projecting kinds rebuild each client's direction on the blocks the
-    client projected on, resolved from ``cfg.projection_layerwise`` and
-    ``layer_partition`` as :func:`client_round` resolves them; an upload
-    with one coefficient column per block is required.
-    """
+    The projecting kinds rebuild each client's direction on ``server.blocks``,
+    the blocks :func:`init_round` gave the clients too."""
     decoded = decode(upload.msg)
     if len(decoded) != server.n_clients:
         raise ValueError(f"expected {server.n_clients} uploads, got {len(decoded)}")
@@ -279,14 +278,9 @@ def server_round(cfg: AlgorithmConfig, server: Server, upload: ClientUpload,
     server.round_index += 1
 
     if kind in _PROJECTING:
-        blocks = resolve_blocks(cfg.projection_layerwise, layer_partition, decoded.shape[1])
-        if upload.coeff.shape[1] != len(blocks):
-            raise ValueError(f"{upload.coeff.shape[1]} projection coefficients per client "
-                             f"but {len(blocks)} blocks: per-layer coefficients require "
-                             f"layer_partition")
         dbar = server.mirror_history.mean()
         directions = server.mirror_history.push()
-        _direction(upload.coeff, dbar, decoded, blocks, out=directions)
+        _direction(upload.coeff, dbar, decoded, server.blocks, out=directions)
         step = cfg.eta if kind is AlgorithmKind.PROJFL else 1.0
         server.w = server.w - step * np.mean(directions, axis=0)
     elif kind in (AlgorithmKind.FEDAVG, AlgorithmKind.EF):
@@ -303,32 +297,28 @@ def server_round(cfg: AlgorithmConfig, server: Server, upload: ClientUpload,
         server.w = server.w - cfg.eta * server.momentum
 
 
-def init_clients(cfg: AlgorithmConfig, n_clients: int, dim: int) -> Clients:
-    kind = cfg.kind
-    zeros = np.zeros((n_clients, dim))
-    if kind in _PROJECTING:
-        error = zeros if kind is AlgorithmKind.PROJFL_EF else None
-        return Clients(history=History(cfg.K, n_clients, dim), error=error)
-    if kind is AlgorithmKind.EF:
-        return Clients(error=zeros)
-    if kind in _EF21_FAMILY:
-        return Clients(direction=zeros)
-    if kind in _DIANA_FAMILY:
-        return Clients(memory=zeros)
-    return Clients()
-
-
-def init_server(cfg: AlgorithmConfig, w0: np.ndarray, n_clients: int) -> Server:
+def init_round(cfg: AlgorithmConfig, w0: np.ndarray, n_clients: int,
+               layer_partition: Optional[LayerPartition] = None) -> Tuple[Clients, Server]:
+    """Both sides of a run at round 0: every client's state and the server at
+    ``w0``.  ``layer_partition`` is the model's layers; the projection's
+    blocks are resolved from it here, once, and both sides hold them."""
     kind = cfg.kind
     dim = w0.shape[0]
-    w = np.array(w0, dtype=np.float64)
+    blocks = resolve_blocks(cfg.projection_layerwise, layer_partition, dim)
+    clients = Clients(blocks, layer_partition)
+    server = Server(0, np.array(w0, dtype=np.float64), n_clients, blocks)
     if kind in _PROJECTING:
-        return Server(0, w, n_clients, mirror_history=History(cfg.K, n_clients, dim))
+        clients.history = History(cfg.K, n_clients, dim)
+        server.mirror_history = History(cfg.K, n_clients, dim)
+    if kind in (AlgorithmKind.EF, AlgorithmKind.PROJFL_EF):
+        clients.error = np.zeros((n_clients, dim))
+    if kind in _EF21_FAMILY + _DIANA_FAMILY:
+        clients.state = np.zeros((n_clients, dim))
     if kind in _EF21_FAMILY:
-        return Server(0, w, n_clients, mirror_direction=np.zeros((n_clients, dim)))
+        server.mirror_direction = np.zeros((n_clients, dim))
     if kind in _DIANA_FAMILY:
-        return Server(0, w, n_clients, memory=np.zeros(dim), momentum=np.zeros(dim))
-    return Server(0, w, n_clients)
+        server.memory, server.momentum = np.zeros(dim), np.zeros(dim)
+    return clients, server
 
 
 def assert_mirror(server: Server, clients: Clients, seed: Optional[int] = None):
@@ -340,7 +330,7 @@ def assert_mirror(server: Server, clients: Clients, seed: Optional[int] = None):
     if server.mirror_history is not None:
         name, mine, theirs = "history", clients.history.buf, server.mirror_history.buf
     elif server.mirror_direction is not None:
-        name, mine, theirs = "direction", clients.direction, server.mirror_direction
+        name, mine, theirs = "direction", clients.state, server.mirror_direction
     else:
         return
     a, b = mine.view(np.uint64), theirs.view(np.uint64)

@@ -214,7 +214,7 @@ def _run_and_save(jobs: Optional[int], values: Dict, config: RunConfig, obj, out
     """Run every seed (``--jobs`` workers, default: seeds capped at cores) and
     write ``metrics.csv`` and ``effective_config.cfg``."""
     jobs = jobs or max(1, min(len(config.seeds), os.cpu_count() or 1))
-    results = run(config, jobs, obj)
+    results = run(config, obj, jobs)
     write_metrics_csv(out / "metrics.csv", results)
     lines = _effective_config_lines(values)
     (out / "effective_config.cfg").write_text("\n".join(lines) + "\n")

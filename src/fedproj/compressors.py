@@ -138,8 +138,8 @@ class SparsePayload:
 
 @dataclass(frozen=True)
 class QuantizedPayload:
-    """Row ``r`` decodes to ``norm[r] * sign * levels[r] / s_levels``; a row
-    with ``norm[r] == 0`` (an all-zero input row) is sent as an empty message."""
+    """Row ``r`` decodes to ``norm[r] * sign * levels[r] / s_levels``; an
+    all-zero input row has norm 0 and every sign and level 0."""
 
     norm: np.ndarray    # (R,)
     signs: np.ndarray   # (R, d) uint8, 1 = negative
@@ -170,11 +170,10 @@ def compress(spec: CompressorSpec, x: np.ndarray, keys=None,
 
     ``keys`` (one stream key per row) drive the random kinds (randk, qsgd)
     and are ignored otherwise.  The sparsifiers act on the blocks of
-    :func:`resolve_blocks`.  An all-zero row short-circuits qsgd to an
-    empty message, since its magnitude ratios are undefined at norm zero.
+    :func:`resolve_blocks`.
     """
     kind = spec.kind
-    rows, d = x.shape
+    d = x.shape[1]
 
     if kind is CompressorKind.IDENTITY:
         return DensePayload(x.copy())
@@ -182,14 +181,8 @@ def compress(spec: CompressorSpec, x: np.ndarray, keys=None,
         raise ValueError(f"{kind.value} requires stream keys")
 
     if kind is CompressorKind.QSGD:
-        norm = np.zeros(rows)
-        signs = np.zeros((rows, d), dtype=np.uint8)
-        levels = np.zeros((rows, d), dtype=np.int64)
-        live = x.any(axis=1)
-        if live.any():
-            norm[live], signs[live], levels[live] = backend.qsgd_encode(
-                x[live], spec.s_levels, keys[live], 0)
-        return QuantizedPayload(norm, signs, levels, spec.s_levels)
+        return QuantizedPayload(*backend.qsgd_encode(x, spec.s_levels, keys, 0),
+                                spec.s_levels)
 
     idx_parts = []
     val_parts = []

@@ -49,8 +49,7 @@ from .algorithms import (
     AlgorithmKind,
     assert_mirror,
     client_round,
-    init_clients,
-    init_server,
+    init_round,
     server_round,
 )
 from .compressors import (
@@ -213,21 +212,22 @@ def run_seed(config: RunConfig, obj: FederatedObjective, seed: int) -> SeedResul
     """One deterministic trajectory; row ``t`` holds the state at ``w_t`` and
     the cumulative traffic spent to reach it.  Each point ``w_t`` costs one
     oracle pass: its losses and gradient rows give row ``t`` and, with the
-    noise added, round ``t``'s step; the last point's pass gives the last row."""
+    noise added, round ``t``'s step; the last point's pass gives the last row,
+    whether the seed ran every round or stopped at ``diverged_at``."""
     alg = config.algorithm
     M = obj.M
     ids = np.arange(M)
-    clients = init_clients(alg, M, obj.d)
-    server = init_server(alg, np.zeros(obj.d), M)
+    clients, server = init_round(alg, np.zeros(obj.d), M, obj.layer_partition)
     up_bits = down_bits = cum_up = cum_down = 0
     rows: List[RoundMetrics] = []
     diverged_at = None
 
-    def observe(t):
-        """The oracle at ``w_t``: records row ``t`` at the cadence and returns
-        the gradient rows, to which the caller holds the only reference."""
+    def observe(t, last=False):
+        """The oracle at ``w_t``: records row ``t`` at the cadence, and the
+        ``last`` row always; returns the gradient rows, to which the caller
+        holds the only reference."""
         losses, grads = obj.client_loss_grads(server.w)
-        if t % config.cadence == 0 or t == config.rounds:
+        if last or t % config.cadence == 0:
             rows.append(_metrics_row(obj, t, server.w, clients, losses, grads,
                                      up_bits, down_bits, cum_up, cum_down))
         return grads
@@ -240,9 +240,9 @@ def run_seed(config: RunConfig, obj: FederatedObjective, seed: int) -> SeedResul
                 alg, clients,
                 stochastic_gradient(observe(t), config.noise,
                                     stream_keys(seed, ids, t, StreamPurpose.GRADIENT_NOISE)),
-                stream_keys(seed, ids, t, StreamPurpose.COMPRESSOR), obj.layer_partition)
+                stream_keys(seed, ids, t, StreamPurpose.COMPRESSOR))
             w_prev = server.w
-            server_round(alg, server, upload, obj.layer_partition)
+            server_round(alg, server, upload)
             assert_mirror(server, clients, seed)
 
             up_bits = int(message_bits(config.cost_model, upload.msg, upload.n_scalars).sum())
@@ -253,7 +253,7 @@ def run_seed(config: RunConfig, obj: FederatedObjective, seed: int) -> SeedResul
                     float(np.linalg.norm(server.w)) <= config.divergence_threshold):
                 diverged_at = t + 1
                 break
-        observe(diverged_at or config.rounds)
+        observe(diverged_at or config.rounds, last=True)
 
     return SeedResult(seed, rows, diverged_at)
 
@@ -272,17 +272,13 @@ def _run_seed_worker(args):
     return run_seed(config, _WORKER_OBJECTIVE, seed)
 
 
-def run(config: RunConfig, jobs: int = 1,
-        obj: Optional[FederatedObjective] = None) -> List[SeedResult]:
+def run(config: RunConfig, obj: FederatedObjective, jobs: int = 1) -> List[SeedResult]:
     """Execute every seed; results are sorted by seed and independent of ``jobs``.
 
-    ``obj`` is the objective built from ``config.objective``; callers that
-    also need it (the CLI commands, the verifiers) build it once and pass it
-    here.  It is built here only when omitted.  With ``jobs > 1`` each worker
+    ``obj`` is the objective built from ``config.objective`` (the caller
+    builds it once, see the module docstring).  With ``jobs > 1`` each worker
     process gets it once, through the pool's initializer.
     """
-    if obj is None:
-        obj = build_objective(config.objective)
     if jobs <= 1 or len(config.seeds) == 1:
         results = [run_seed(config, obj, s) for s in config.seeds]
     else:

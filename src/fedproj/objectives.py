@@ -21,7 +21,8 @@ Three suites:
   sigmoid is numpy's ``exp``, so no suite needs more than numpy.
 * ``tiny_mlp``: one hidden tanh layer with squared loss and hand-coded
   backprop; non-convex, ``mu = 0``, bounded below by 0, ``L`` is an empirical
-  Lipschitz estimate (flagged non-certified).
+  Lipschitz estimate (flagged non-certified), and ``(a, b)`` come from the
+  same probe grid as logistic's.
 
 Each suite has one per-client oracle, ``_client_loss_grad(i, w)``: the loss
 and the gradient of client ``i`` from one forward pass.
@@ -155,6 +156,39 @@ class FederatedObjective(ABC):
         """``(f(w), grad f(w))``, one forward pass per client."""
         return self.fold(*self.client_loss_grads(w))
 
+    def _estimate_dissimilarity(self):
+        """Maximize the implied ``a`` at fixed ``b`` over a probe grid.
+
+        Probes cover random directions at several radii plus a short descent
+        path, so the estimate reflects the region trajectories actually visit.
+        The result is empirical, not analytic.  Each probe's client gradients
+        are computed once; a descent step reuses the mean gradient of the
+        probe it starts from.
+        """
+        worst = 0.0
+
+        def probe(p):
+            nonlocal worst
+            losses, rows = self.client_loss_grads(p)
+            gbar = self.fold(losses, rows)[1]
+            mean_sq = np.mean(np.vecdot(rows, rows))
+            worst = max(worst, mean_sq - self.b * float(gbar @ gbar))
+            return gbar
+
+        gbar = probe(np.zeros(self.d))
+        rng = derive_stream(0xA11CE, self.M, 0, StreamPurpose.DATA_SHUFFLE)
+        for radius in (0.25, 0.5, 1.0, 2.0, 4.0):
+            for _ in range(10):
+                u = rng.normals(self.d)
+                u /= max(np.linalg.norm(u), 1e-12)
+                probe(radius * u)
+        step = 1.0 / self.L if self.L > 0 else 0.0   # L = 0 only on all-zero data
+        w = np.zeros(self.d)
+        for _ in range(40):
+            w = w - step * gbar
+            gbar = probe(w)
+        self.a = max(worst, 0.0) * 1.05  # small headroom over the probe max
+
 
 class QuadraticObjective(FederatedObjective):
     kind = ObjectiveKind.QUADRATIC
@@ -196,7 +230,6 @@ class LogisticObjective(FederatedObjective):
         self.w_star = None
         self.f_star = None
         self.b = 2.0
-        self.a = 0.0          # filled by _estimate_dissimilarity
         self.ab_certified = False
         self._estimate_dissimilarity()
 
@@ -235,15 +268,11 @@ class LogisticObjective(FederatedObjective):
             weights = y / (1.0 + np.exp(margins))
         return -(X.T @ weights) / X.shape[0] + self.ridge * w
 
-    def hess_vec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``grad^2 f(w) v = (1/M) sum_i X_i^T (s_i (1 - s_i) X_i v) / n_i
-        + ridge v`` with ``s_i = sigma(X_i w)``."""
-        return self.hess_operator(w)(v)
-
     def hess_operator(self, w: np.ndarray):
-        """``v -> hess_vec(w, v)``, bit for bit, with the curvature weights
-        ``c_i = s_i (1 - s_i)`` computed once at ``w``: the product
-        ``s * (1 - s) * (X v)`` evaluates left to right."""
+        """``v -> grad^2 f(w) v = (1/M) sum_i X_i^T (s_i (1 - s_i) X_i v) / n_i
+        + ridge v`` with ``s_i = sigma(X_i w)``.  The curvature weights
+        ``c_i = s_i (1 - s_i)`` are computed once at ``w``, and the product
+        ``c_i (X_i v)`` equals ``s_i (1 - s_i) (X_i v)`` evaluated left to right."""
         with np.errstate(over="ignore"):
             sigmoids = [1.0 / (1.0 + np.exp(-(X @ w))) for X in self.features]
         weights = [s * (1.0 - s) for s in sigmoids]
@@ -252,38 +281,6 @@ class LogisticObjective(FederatedObjective):
             terms = [X.T @ (c * (X @ v)) / X.shape[0] for X, c in zip(self.features, weights)]
             return self.fold((), terms)[1] + self.ridge * v
         return apply
-
-    def _estimate_dissimilarity(self):
-        """Maximize the implied ``a`` at fixed ``b`` over a probe grid.
-
-        Probes cover random directions at several radii plus a short descent
-        path, so the estimate reflects the region trajectories actually visit.
-        The result is empirical, not analytic.  Each probe's client gradients
-        are computed once; a descent step reuses the mean gradient of the
-        probe it starts from.
-        """
-        worst = 0.0
-
-        def probe(p):
-            nonlocal worst
-            losses, rows = self.client_loss_grads(p)
-            gbar = self.fold(losses, rows)[1]
-            mean_sq = np.mean(np.vecdot(rows, rows))
-            worst = max(worst, mean_sq - self.b * float(gbar @ gbar))
-            return gbar
-
-        gbar = probe(np.zeros(self.d))
-        rng = derive_stream(0xA11CE, self.M, 0, StreamPurpose.DATA_SHUFFLE)
-        for radius in (0.25, 0.5, 1.0, 2.0, 4.0):
-            for _ in range(10):
-                u = rng.normals(self.d)
-                u /= max(np.linalg.norm(u), 1e-12)
-                probe(radius * u)
-        w = np.zeros(self.d)
-        for _ in range(40):
-            w = w - (1.0 / self.L) * gbar
-            gbar = probe(w)
-        self.a = max(worst, 0.0) * 1.05  # small headroom over the probe max
 
 
 class TinyMlpObjective(FederatedObjective):
@@ -304,10 +301,10 @@ class TinyMlpObjective(FederatedObjective):
         self.w_star = None
         self.f_star = None
         self.b = 2.0
-        self.a = 0.0
         self.ab_certified = False
         self.L_certified = False
         self.L = self._estimate_lipschitz()
+        self._estimate_dissimilarity()
 
     def _unpack(self, w):
         W1, b1, w2, b2 = (w[start:stop] for start, stop in self.layer_partition)

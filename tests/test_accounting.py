@@ -150,7 +150,7 @@ class TestWireFormat:
         for row in range(3):
             raw = serialize_message(msg, row)
             assert len(raw) == -(-int(bits[row]) // 8)
-            if kind == "quantized" and msg.norm[row]:   # the layout, one bit at a time
+            if kind == "quantized":   # the layout, one bit at a time
                 width = len(format(spec.s_levels, "b"))
                 layout = "".join(f"{s}" for s in msg.signs[row]) + \
                     "".join(f"{lev:0{width}b}" for lev in msg.levels[row])
@@ -198,12 +198,15 @@ class TestWireFormat:
         assert back.norm[0] == pytest.approx(msg.norm[0], rel=1e-7)
 
     def test_empty_quantized_roundtrip(self):
+        """An all-zero row is a full message: a zero norm and zero bits."""
         msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=3), np.zeros((1, 4)),
                        stream())
-        assert serialize_message(msg) == b""
-        back = deserialize_message(b"", "quantized", 4, s_levels=3)
-        assert message_bits(DEFAULT_COST_MODEL, back).tolist() == [0]
-        assert decode(back).tolist() == [[0.0] * 4]
+        assert serialize_message(msg) == bytes(4 + 2)   # 4 signs and 4 two-bit levels
+        back = deserialize_message(bytes(6), "quantized", 4, s_levels=3)
+        assert message_bits(DEFAULT_COST_MODEL, back).tolist() == [32 + 4 * (1 + 2)]
+        assert decode(back).tobytes() == np.zeros((1, 4)).tobytes()
+        with pytest.raises(ValueError, match="is 6 bytes, got 0"):
+            deserialize_message(b"", "quantized", 4, s_levels=3)
 
     def test_dense_roundtrip(self):
         g = rows([1.0, -2.0, 3.5])

@@ -11,12 +11,11 @@ from fedproj.algorithms import (
     MirrorDesyncError,
     assert_mirror,
     client_round,
-    init_clients,
-    init_server,
+    init_round,
     server_round,
 )
 from fedproj.compressors import CompressorKind, CompressorSpec, compress, decode
-from fedproj.objectives import NoiseModel, make_quadratic, stochastic_gradient
+from fedproj.objectives import NoiseModel, make_quadratic, make_tiny_mlp, stochastic_gradient
 from fedproj.vectors import StreamPurpose, stream_keys
 
 IDENTITY = CompressorSpec(CompressorKind.IDENTITY)
@@ -42,22 +41,25 @@ def step(cfg, obj, clients, server, t, seed=0, noise=NoiseModel(0.0)):
     """One round of the engine, as the harness runs it; returns the gradient rows."""
     g = stochastic_gradient(obj.client_loss_grads(server.w)[1], noise,
                             keys(seed, obj, t, StreamPurpose.GRADIENT_NOISE))
-    up = client_round(cfg, clients, g, keys(seed, obj, t, StreamPurpose.COMPRESSOR),
-                      obj.layer_partition)
-    server_round(cfg, server, up, obj.layer_partition)
+    up = client_round(cfg, clients, g, keys(seed, obj, t, StreamPurpose.COMPRESSOR))
+    server_round(cfg, server, up)
     assert_mirror(server, clients, seed)
     return g
 
 
 def drive(cfg, obj, rounds, seed=0, sigma=0.0, w0=None):
     """Run the round engine directly; returns the iterate trajectory."""
-    clients = init_clients(cfg, obj.M, obj.d)
-    server = init_server(cfg, np.zeros(obj.d) if w0 is None else w0, obj.M)
+    clients, server = init_round(cfg, np.zeros(obj.d) if w0 is None else w0, obj.M,
+                                 obj.layer_partition)
     traj = [server.w.copy()]
     for t in range(rounds):
         step(cfg, obj, clients, server, t, seed, NoiseModel(sigma))
         traj.append(server.w.copy())
     return np.array(traj), server, clients
+
+
+def clients_for(cfg, n_clients, dim):
+    return init_round(cfg, np.zeros(dim), n_clients)[0]
 
 
 def newest(history):
@@ -164,7 +166,7 @@ class TestHistoryAverage:
 class TestClientRound:
     def test_projfl_round0_sends_full_gradient(self):
         cfg = cfg_for(AlgorithmKind.PROJFL)
-        clients = init_clients(cfg, 1, 3)
+        clients = clients_for(cfg, 1, 3)
         g = np.array([[1.0, -2.0, 0.5]])
         up = client_round(cfg, clients, g, None)
         assert up.coeff.tolist() == [[0.0]]
@@ -179,14 +181,14 @@ class TestClientRound:
 
     def test_projfl_ef_direction_carries_eta(self):
         cfg = cfg_for(AlgorithmKind.PROJFL_EF, eta=0.25)
-        clients = init_clients(cfg, 1, 2)
+        clients = clients_for(cfg, 1, 2)
         up = client_round(cfg, clients, np.array([[4.0, 0.0]]), None)
         assert newest(clients.history)[0].tolist() == [1.0, 0.0]  # eta*g at round 0
         assert up.coeff.tolist() == [[0.0]]
 
     def test_ef_error_update(self):
         cfg = cfg_for(AlgorithmKind.EF, compressor=TOPK_HALF, zeta=0.75)
-        clients = init_clients(cfg, 1, 4)
+        clients = clients_for(cfg, 1, 4)
         g = np.array([[3.0, -1.0, 0.5, -4.0]])
         client_round(cfg, clients, g, None)
         # carried = g (error starts 0); top-2 keeps coords 0 and 3
@@ -218,8 +220,8 @@ class TestClientRound:
         cfg = cfg_for(AlgorithmKind.PROJFL_EF, eta=0.1, compressor=TOPK_HALF, K=2)
         rng = np.random.default_rng(4)
         grads = rng.standard_normal((6, 3, 8))
-        batched = init_clients(cfg, 3, 8)
-        alone = [init_clients(cfg, 1, 8) for _ in range(3)]
+        batched = clients_for(cfg, 3, 8)
+        alone = [clients_for(cfg, 1, 8) for _ in range(3)]
         for g in grads:
             up = client_round(cfg, batched, g, None)
             for i in range(3):
@@ -238,13 +240,13 @@ class TestServerRound:
 
     def test_all_zero_uploads_leave_w(self):
         cfg = cfg_for(AlgorithmKind.FEDAVG)
-        server = init_server(cfg, np.array([1.0, 1.0]), 2)
+        server = init_round(cfg, np.array([1.0, 1.0]), 2)[1]
         server_round(cfg, server, ClientUpload(compress(IDENTITY, np.zeros((2, 2)))))
         assert server.w.tolist() == [1.0, 1.0]
 
     def test_upload_count_checked(self):
         cfg = cfg_for(AlgorithmKind.FEDAVG)
-        server = init_server(cfg, np.zeros(2), 2)
+        server = init_round(cfg, np.zeros(2), 2)[1]
         with pytest.raises(ValueError):
             server_round(cfg, server, ClientUpload(compress(IDENTITY, np.zeros((1, 2)))))
 
@@ -261,7 +263,7 @@ class TestServerRound:
         obj = make_quadratic(4, 3, [np.full(3, float(i)) for i in range(4)])
         cfg = cfg_for(kind, eta=0.1, compressor=TOPK_HALF)
         _, server, clients = drive(cfg, obj, 3, seed=5, sigma=0.2)
-        state = clients.history.buf[0] if array == "history" else clients.direction
+        state = clients.history.buf[0] if array == "history" else clients.state
         state[2, 1] = np.nextafter(state[2, 1], np.inf)   # one entry of client 2, one ulp
         with pytest.raises(MirrorDesyncError,
                            match=f"seed 5, round 3: .* client 2 differs .* {array}$"):
@@ -308,8 +310,7 @@ class TestTildeW:
 
     def test_round0_tilde_is_w0(self):
         cfg = cfg_for(AlgorithmKind.PROJFL_EF, compressor=TOPK_HALF)
-        clients = init_clients(cfg, 2, 2)
-        server = init_server(cfg, np.array([1.0, -1.0]), 2)
+        clients, server = init_round(cfg, np.array([1.0, -1.0]), 2)
         assert np.array_equal(tilde_w(server, clients), server.w)
 
     def test_step_identity_of_error_shifted_iterate(self):
@@ -317,8 +318,7 @@ class TestTildeW:
         obj = quadratic_pair(d=6)
         cfg = cfg_for(AlgorithmKind.PROJFL_EF, eta=0.1,
                       compressor=CompressorSpec(CompressorKind.TOPK, k_fraction=0.34))
-        clients = init_clients(cfg, 2, 6)
-        server = init_server(cfg, np.zeros(6), 2)
+        clients, server = init_round(cfg, np.zeros(6), 2)
         for t in range(50):
             tilde_before = tilde_w(server, clients)
             g = step(cfg, obj, clients, server, t)
@@ -332,8 +332,7 @@ class TestDecompositionInvariant:
         cfg = cfg_for(AlgorithmKind.PROJFL, eta=0.3,
                       compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=0.25))
         noise = NoiseModel(0.5)
-        clients = init_clients(cfg, 2, 8)
-        server = init_server(cfg, np.zeros(8), 2)
+        clients, server = init_round(cfg, np.zeros(8), 2)
         for t in range(40):
             g = stochastic_gradient(obj.client_loss_grads(server.w)[1], noise,
                                     keys(1, obj, t, StreamPurpose.GRADIENT_NOISE))
@@ -353,28 +352,35 @@ class TestLayerwiseProjection:
 
     def first_round(self):
         cfg = cfg_for(AlgorithmKind.PROJFL, eta=0.5, projection_layerwise=True)
-        clients = init_clients(cfg, 1, 4)
+        clients, server = init_round(cfg, np.zeros(4), 1, self.PART)
         clients.history.buf[0, 0] = [1.0, 0.0, 0.0, 1.0]
-        up = client_round(cfg, clients, np.array([[2.0, 1.0, 3.0, 5.0]]), None, self.PART)
-        return cfg, clients, up
+        up = client_round(cfg, clients, np.array([[2.0, 1.0, 3.0, 5.0]]), None)
+        return cfg, clients, server, up
 
     def test_per_layer_coefficients(self):
-        _, _, up = self.first_round()
+        _, _, _, up = self.first_round()
         assert up.coeff.tolist() == [[2.0, 5.0]]
         assert up.n_scalars == 2
 
     def test_server_reconstructs_with_partition(self):
-        cfg, clients, up = self.first_round()
-        server = init_server(cfg, np.zeros(4), 1)
+        cfg, clients, server, up = self.first_round()
         server.mirror_history.buf[0, 0] = [1.0, 0.0, 0.0, 1.0]
-        server_round(cfg, server, up, layer_partition=self.PART)
+        server_round(cfg, server, up)
         assert np.array_equal(newest(server.mirror_history), newest(clients.history))
         assert_mirror(server, clients)
 
-    def test_server_needs_partition(self):
-        cfg, _, up = self.first_round()
-        with pytest.raises(ValueError, match="layer_partition"):
-            server_round(cfg, init_server(cfg, np.zeros(4), 1), up)
+    @pytest.mark.parametrize("layerwise", [True, False])
+    def test_both_sides_share_one_block_tuple(self, layerwise):
+        """``init_round`` resolves the blocks once: both sides hold the same
+        tuple, the model's layers or the one flat block."""
+        obj = make_tiny_mlp(3, 4, 3, 0, 10)
+        cfg = cfg_for(AlgorithmKind.PROJFL, compressor=TOPK_HALF,
+                      projection_layerwise=layerwise)
+        clients, server = init_round(cfg, np.zeros(obj.d), obj.M, obj.layer_partition)
+        assert clients.blocks is server.blocks
+        assert clients.blocks == (obj.layer_partition if layerwise else ((0, obj.d),))
+        assert clients.layer_partition is obj.layer_partition
+        drive(cfg, obj, 3, sigma=0.1)   # every round checks the mirror
 
 
 class TestConfigValidation:

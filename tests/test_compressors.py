@@ -299,13 +299,17 @@ class TestQsgd:
             assert decode(payload).tobytes() == np.where(payload.signs == 1, -m, m).tobytes()
 
     def test_zero_vector_short_circuit(self):
-        g = np.zeros((2, 6))
+        """An all-zero row, ``-0.0`` entries included, encodes as norm 0 with
+        every sign and level 0, and is charged like any other row."""
+        g = np.zeros((3, 6))
         g[1, 2] = -1.5
+        g[2] = -0.0
         msg = compress(CompressorSpec(CompressorKind.QSGD, s_levels=2), g,
-                       stream_keys(0, np.arange(2), 0, StreamPurpose.COMPRESSOR))
-        assert msg.norm.tolist() == [0.0, 1.5]
-        assert message_bits(DEFAULT_COST_MODEL, msg).tolist() == [0, 32 + 6 + 12]
-        assert np.array_equal(decode(msg), g)
+                       stream_keys(0, np.arange(3), 0, StreamPurpose.COMPRESSOR))
+        assert msg.norm.tolist() == [0.0, 1.5, 0.0]
+        assert not msg.signs[[0, 2]].any() and not msg.levels[[0, 2]].any()
+        assert message_bits(DEFAULT_COST_MODEL, msg).tolist() == [32 + 6 + 12] * 3
+        assert decode(msg).tobytes() == (g + 0.0).tobytes()   # -0.0 + 0.0 is +0.0
 
     def test_levels_bounded(self):
         rng = np.random.default_rng(8)

@@ -41,24 +41,29 @@ def quad_config(kind=AlgorithmKind.PROJFL, eta=0.5, compressor=IDENTITY,
     )
 
 
+def run_built(cfg, jobs=1):
+    """Every seed of ``cfg`` on the objective its config builds."""
+    return run(cfg, build_objective(cfg.objective), jobs)
+
+
 class TestRun:
     def test_exact_gd_contraction(self):
         cfg = quad_config(rounds=30)
-        res = run(cfg)[0]
+        res = run_built(cfg)[0]
         d0 = res.rows[0].dist_to_opt_sq
         for m in res.rows:
             assert m.dist_to_opt_sq == pytest.approx(0.25 ** m.round * d0, abs=1e-12)
 
     def test_zero_rounds_single_row(self):
         cfg = quad_config(rounds=0)
-        res = run(cfg)[0]
+        res = run_built(cfg)[0]
         assert len(res.rows) == 1
         assert res.rows[0].round == 0
         assert res.rows[0].cum_total_bits == 0
 
     def test_row_count_and_monotone_bits(self):
         cfg = quad_config(rounds=20, compressor=CompressorSpec(CompressorKind.TOPK, k_fraction=0.5))
-        res = run(cfg)[0]
+        res = run_built(cfg)[0]
         assert len(res.rows) == 21
         totals = [m.cum_total_bits for m in res.rows]
         assert totals == sorted(totals)
@@ -69,14 +74,14 @@ class TestRun:
                           compressor=CompressorSpec(CompressorKind.TOPK, k_fraction=0.5),
                           rounds=25, seeds=(0, 1), sigma=0.3)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_metrics_csv(p1, run(cfg))
-        write_metrics_csv(p2, run(cfg))
+        write_metrics_csv(p1, run_built(cfg))
+        write_metrics_csv(p2, run_built(cfg))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_roundtrip_preserves_metrics(self, tmp_path):
         cfg = quad_config(rounds=10, seeds=(3, 4), sigma=0.2,
                           compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=0.5))
-        results = run(cfg)
+        results = run_built(cfg)
         path = tmp_path / "m.csv"
         write_metrics_csv(path, results)
         loaded = read_metrics_csv(path)
@@ -90,8 +95,8 @@ class TestRun:
     def test_parallel_equals_sequential(self, tmp_path):
         cfg = quad_config(rounds=15, seeds=(0, 1, 2, 3), sigma=0.4,
                           compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=0.5))
-        seq = run(cfg, jobs=1)
-        par = run(cfg, jobs=2)
+        seq = run_built(cfg, jobs=1)
+        par = run_built(cfg, jobs=2)
         p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
         write_metrics_csv(p1, seq)
         write_metrics_csv(p2, par)
@@ -131,7 +136,7 @@ class TestRun:
                                                       CompressorKind.RANDK, k_fraction=0.5)),
                         noise=NoiseModel(0.1), rounds=7, seeds=(0, 1), cadence=cadence,
                         divergence_threshold=threshold)
-        results = run(cfg, obj=obj)
+        results = run(cfg, obj)
         stopped = [r.diverged_at for r in results if r.diverged_at is not None]
         assert len(stopped) == (2 if stops else 0) and all(1 < t < 7 for t in stopped)
         points = sum((r.diverged_at or cfg.rounds) + 1 for r in results)
@@ -139,16 +144,27 @@ class TestRun:
 
     def test_divergence_guard(self):
         cfg = quad_config(eta=3.0, rounds=200)  # |1 - eta| = 2: diverges
-        res = run(cfg)[0]
+        res = run_built(cfg)[0]
         assert res.diverged_at is not None
         assert res.rows[-1].round == res.diverged_at
+
+    def test_stop_off_cadence_records_its_row(self):
+        """A seed that stops between recorded rounds still records the row of
+        the point it stops at: its last row is round ``diverged_at``."""
+        cfg = RunConfig(objective=QUAD,
+                        algorithm=AlgorithmConfig(AlgorithmKind.FEDAVG, eta=3.0,
+                                                  compressor=IDENTITY),
+                        rounds=10, seeds=(0,), cadence=3, divergence_threshold=10.0)
+        res = run_seed(cfg, build_objective(QUAD), 0)   # ||w_t||: 3, 3, 9, 15
+        assert res.diverged_at == 4
+        assert [m.round for m in res.rows] == [0, 3, 4]
 
     def test_cadence_thins_rows(self):
         cfg = RunConfig(objective=QUAD,
                         algorithm=AlgorithmConfig(AlgorithmKind.FEDAVG, eta=0.5,
                                                   compressor=IDENTITY),
                         rounds=10, seeds=(0,), cadence=5)
-        res = run(cfg)[0]
+        res = run_built(cfg)[0]
         assert [m.round for m in res.rows] == [0, 5, 10]
 
 
@@ -170,8 +186,8 @@ class TestSelectOutput:
 class TestTheorem1Verifier:
     def test_identity_zero_slack_every_round(self):
         cfg = quad_config(rounds=60, seeds=(0, 1, 2))
-        results = run(cfg)
         obj = build_objective(cfg.objective)
+        results = run(cfg, obj)
         report = verify("t1.1", results, obj, cfg)
         assert report.status == "PASS"
         for row in report.per_round:
@@ -185,8 +201,8 @@ class TestTheorem1Verifier:
         eta = 1.0 / (1.0 + 1.0 * (beta - 1) / 2)  # cap for mu=L=1, b=1, M=2
         cfg = quad_config(eta=eta, rounds=150, seeds=tuple(range(40)), d=d,
                           compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=kf))
-        results = run(cfg)
         obj = build_objective(cfg.objective)
+        results = run(cfg, obj)
         assert eta_cap("t1.1", obj, beta) == pytest.approx(eta)
         report = verify("t1.1", results, obj, cfg)
         assert report.status == "PASS"
@@ -194,16 +210,16 @@ class TestTheorem1Verifier:
 
     def test_eta_above_cap_raises(self):
         cfg = quad_config(eta=1.1, rounds=5)  # cap is 1.0 for identity
-        results = run(cfg)
         obj = build_objective(cfg.objective)
+        results = run(cfg, obj)
         with pytest.raises(VerifierError):
             verify("t1.1", results, obj, cfg)
 
     def test_topk_skipped(self):
         cfg = quad_config(eta=0.5, rounds=5,
                           compressor=CompressorSpec(CompressorKind.TOPK, k_fraction=0.5))
-        results = run(cfg)
         obj = build_objective(cfg.objective)
+        results = run(cfg, obj)
         report = verify("t1.1", results, obj, cfg)
         assert report.status == "SKIPPED"
 
@@ -215,15 +231,15 @@ class TestTheorem1Verifier:
                         algorithm=AlgorithmConfig(AlgorithmKind.PROJFL, eta=0.01,
                                                   compressor=IDENTITY),
                         rounds=3, seeds=(0,))
-        results = run(cfg)
+        results = run(cfg, obj)
         report = verify("t1.3", results, obj, cfg)
         assert report.status == "SKIPPED"
         assert "certified L" in report.reason
 
     def test_wrong_algorithm_rejected(self):
         cfg = quad_config(kind=AlgorithmKind.FEDAVG, rounds=3)
-        results = run(cfg)
         obj = build_objective(cfg.objective)
+        results = run(cfg, obj)
         with pytest.raises(VerifierError):
             verify("t1.1", results, obj, cfg)
 
@@ -232,8 +248,8 @@ class TestTheorem1Verifier:
         eta = 0.5 / (1.0 + (beta - 1) / 2)  # cap 1/(2L) * damping
         cfg = quad_config(eta=eta, rounds=100, seeds=tuple(range(20)), d=8,
                           compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=0.25))
-        results = run(cfg)
         obj = build_objective(cfg.objective)
+        results = run(cfg, obj)
         report = verify("t1.2", results, obj, cfg)
         assert report.status == "PASS"
 
@@ -245,7 +261,7 @@ class TestTheorem1Verifier:
                         algorithm=AlgorithmConfig(AlgorithmKind.PROJFL, eta=0.01,
                                                   compressor=IDENTITY),
                         rounds=5, seeds=(0,))
-        report = verify("t1.3", run(cfg), obj, cfg)
+        report = verify("t1.3", run(cfg, obj), obj, cfg)
         assert report.status == "PASS"
         assert "f* located numerically" in report.caveats
         assert "w* located numerically" not in report.caveats
@@ -254,8 +270,8 @@ class TestTheorem1Verifier:
         cfg = quad_config(rounds=30, seeds=(0, 1),
                           compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=0.5),
                           eta=0.4)
-        results = run(cfg)
         obj = build_objective(cfg.objective)
+        results = run(cfg, obj)
         direct = verify("t1.1", results, obj, cfg)
         path = tmp_path / "m.csv"
         write_metrics_csv(path, results)
@@ -276,27 +292,27 @@ class TestTheorem2Verifier:
         obj = build_objective(QUAD)
         eta = eta_cap("t2.2", obj, 1.0)
         cfg = quad_config(kind=AlgorithmKind.PROJFL_EF, eta=eta, rounds=100)
-        results = run(cfg)
+        results = run(cfg, obj)
         report = verify("t2.2", results, build_objective(cfg.objective), cfg)
         assert report.status == "PASS"
         assert report.constants["delta"] == 1.0
 
     def test_topk_item1(self):
         cfg = self.topk_cfg(1)
-        results = run(cfg)
+        results = run_built(cfg)
         report = verify("t2.1", results, build_objective(cfg.objective), cfg)
         assert report.status == "PASS"
 
     def test_randk_skipped(self):
         cfg = quad_config(kind=AlgorithmKind.PROJFL_EF, eta=0.01, rounds=5,
                           compressor=CompressorSpec(CompressorKind.RANDK, k_fraction=0.5))
-        results = run(cfg)
+        results = run_built(cfg)
         report = verify("t2.1", results, build_objective(cfg.objective), cfg)
         assert report.status == "SKIPPED"
 
     def test_eta_above_cap_raises(self):
         cfg = self.topk_cfg(1)
-        results = run(cfg)
+        results = run_built(cfg)
         bad = RunConfig(objective=cfg.objective,
                         algorithm=AlgorithmConfig(AlgorithmKind.PROJFL_EF, eta=0.5,
                                                   compressor=cfg.algorithm.compressor),
@@ -308,7 +324,7 @@ class TestTheorem2Verifier:
 class TestLemmaVerifier:
     def test_identity_error_stays_zero(self):
         cfg = quad_config(kind=AlgorithmKind.PROJFL_EF, eta=0.2, rounds=50)
-        results = run(cfg)
+        results = run_built(cfg)
         report = verify("lemmaA1", results, build_objective(cfg.objective), cfg)
         assert report.status == "PASS"
         assert report.lhs == 0.0
@@ -319,14 +335,14 @@ class TestLemmaVerifier:
         cfg = quad_config(kind=AlgorithmKind.PROJFL_EF, eta=eta, rounds=200,
                           seeds=tuple(range(10)), sigma=0.5, d=20,
                           compressor=CompressorSpec(CompressorKind.TOPK, k_fraction=0.1))
-        results = run(cfg)
+        results = run(cfg, obj)
         report = verify("lemmaA1", results, build_objective(cfg.objective), cfg)
         assert report.status == "PASS"
         assert report.constants["worst_ratio"] < 1.0
 
     def test_wrong_algorithm(self):
         cfg = quad_config(kind=AlgorithmKind.EF, rounds=5)
-        results = run(cfg)
+        results = run_built(cfg)
         with pytest.raises(VerifierError):
             verify("lemmaA1", results, build_objective(cfg.objective), cfg)
 

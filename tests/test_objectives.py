@@ -160,17 +160,17 @@ class TestLogistic:
         ref = np.array([reference(m, label) for m, label in zip(margins, y)])
         assert np.all(np.abs(weights - ref) <= 4 * np.spacing(np.abs(ref)))
 
-    def test_hess_vec_matches_central_difference(self, obj):
+    def test_hess_operator_matches_central_difference(self, obj):
         rng = np.random.default_rng(9)
         step = 1e-4
         for _ in range(5):
             w, v = rng.standard_normal(8), rng.standard_normal(8)
             fd = (obj.loss_grad(w + step * v)[1] - obj.loss_grad(w - step * v)[1]) / (2 * step)
-            assert np.linalg.norm(obj.hess_vec(w, v) - fd) <= 1e-6 * np.linalg.norm(fd)
+            assert np.linalg.norm(obj.hess_operator(w)(v) - fd) <= 1e-6 * np.linalg.norm(fd)
 
-    def test_hess_operator_equals_hess_vec(self, obj):
-        """The weights cached at ``w`` give ``hess_vec``'s bytes for every ``v``,
-        and those of the product ``s (1 - s) (X v)`` computed at each call."""
+    def test_hess_operator_equals_per_call_product(self, obj):
+        """The weights cached at ``w`` give, for every ``v``, the bytes of the
+        product ``s (1 - s) (X v)`` computed at each call."""
         rng = np.random.default_rng(10)
         for scale in (0.0, 1.0, 40.0):
             w = scale * rng.standard_normal(8)
@@ -183,7 +183,7 @@ class TestLogistic:
                     hv = X.T @ (s * (1.0 - s) * (X @ v)) / X.shape[0]
                     acc = hv if acc is None else acc + hv
                 want = acc / obj.M + obj.ridge * v
-                assert hess(v).tobytes() == obj.hess_vec(w, v).tobytes() == want.tobytes()
+                assert hess(v).tobytes() == want.tobytes()
 
     def test_symmetric_data_zero_gradient_at_origin(self):
         from fedproj.objectives import LogisticObjective
@@ -277,6 +277,12 @@ class TestTinyMlp:
     def test_flags(self, obj):
         assert not obj.L_certified and not obj.ab_certified
         assert obj.mu == 0.0 and obj.w_star is None and obj.f_star is None
+
+    def test_dissimilarity_is_a_probe_grid_estimate(self, obj):
+        """``a`` comes from the probe grid, as logistic's does: positive on
+        heterogeneous clients, and above the excess at the origin, a probe."""
+        assert obj.a > 0.0
+        assert max_h2_violation(obj, [np.zeros(obj.d)]) < 0.0
 
 
 def left_fold(losses, rows):

@@ -3,8 +3,13 @@
 Values travel at 32 bits by default (float32 wire precision), indices either
 as fixed 32-bit integers or as ``ceil(log2(dim))``-bit integers, and every
 extra transmitted scalar costs ``scalar_bits``.  The server broadcast is
-delta-encoded: only coordinates of the new model whose float32 image differs
-bit-for-bit from the previous broadcast are sent, as value+index pairs.
+delta-encoded against the previous broadcast: a coordinate has changed when
+its float32 image differs bit for bit.  :func:`downlink_bits` charges the
+shortest of three decodable forms of the new image, behind a 2-bit form tag:
+every value (dense), a value+index pair per changed coordinate, or a
+``d``-bit change bitmap followed by the changed values.  The transport is
+assumed to deliver each message's length, as a datagram does, so the pairs
+form needs no count field; the bitmap gives the count by its popcount.
 
 :func:`message_bits` is the one cost model of an upload: it takes a payload
 from ``compressors.compress`` and returns one count per row (client).
@@ -103,10 +108,24 @@ def changed_coordinates(w_prev, w_next) -> int:
     return int(np.count_nonzero(a != b))
 
 
+# which of the three broadcast forms follows: dense, pairs or bitmap
+_FORM_TAG_BITS = 2
+
+
 def downlink_bits(model: CostModel, w_prev, w_next) -> int:
-    """Delta-broadcast cost per receiving client."""
+    """Broadcast cost per receiving client: the shortest decodable form of
+    the new float32 image, given the previous one, plus the form tag.
+
+    With ``n`` changed coordinates of ``d``, the forms cost ``d·value_bits``
+    (dense), ``n·(value_bits + index_bits)`` (index–value pairs, counted by
+    the message length) and ``d + n·value_bits`` (a change bitmap, whose
+    popcount is ``n``, then the changed values).
+    """
     n = changed_coordinates(w_prev, w_next)
-    return n * (model.value_bits + index_bits(model, len(w_prev))) + model.header_bits
+    d = len(w_prev)
+    v = model.value_bits
+    body = min(d * v, n * (v + index_bits(model, d)), d + n * v)
+    return body + _FORM_TAG_BITS + model.header_bits
 
 
 def _level_shifts(s_levels: int) -> np.ndarray:

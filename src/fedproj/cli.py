@@ -20,7 +20,8 @@ Exit codes: ``run`` 0 ok / 2 divergence; ``verify`` 0 PASS / 3 FAIL /
 input it refuses, with one ``error: ...`` line and no traceback: a config
 that is unreadable, not UTF-8 or invalid; an output path that cannot be
 written; a ``verify`` item that is unknown or misused; an ``export`` or
-``verify --reuse`` metrics CSV that is missing or unreadable; a ``layerwise``
+``verify --reuse`` metrics CSV that is missing or unreadable; an ``export``
+run directory with no ``effective_config.cfg``; a ``layerwise``
 or ``projection_layerwise`` flag on an objective with no layers, where it
 would do nothing; a ``certify`` ``--dim`` below 1 or an invalid compressor.
 Argparse usage errors exit 2.
@@ -458,7 +459,19 @@ def cmd_certify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    summary = _summarize(_read_metrics(Path(args.run_dir) / "metrics.csv"))
+    metrics = Path(args.run_dir) / "metrics.csv"
+    results = _read_metrics(metrics)
+    saved = metrics.with_name("effective_config.cfg")
+    if not saved.is_file():
+        raise ValueError(f"cannot export {args.run_dir}: no effective_config.cfg next to "
+                         f"its metrics.csv gives the run's rounds")
+    rounds = parse_config_file(saved)["rounds"]
+    # a CSV cannot record diverged_at, but run_seed records the row a seed
+    # stops at: a seed that stopped before ``rounds`` diverged there
+    for res in results:
+        if res.rows[-1].round < rounds:
+            res.diverged_at = res.rows[-1].round
+    summary = _summarize(results)
     text = json.dumps(summary, indent=2, sort_keys=True)
     if args.output:
         Path(args.output).write_text(text + "\n")

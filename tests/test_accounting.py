@@ -78,15 +78,29 @@ class TestMessageBits:
 
 class TestDownlink:
     def test_unchanged_is_free(self):
+        """An unchanged image costs only the form tag: zero pairs."""
         w = np.linspace(-1, 1, 50)
-        assert downlink_bits(DEFAULT_COST_MODEL, w, w.copy()) == 0
+        assert downlink_bits(DEFAULT_COST_MODEL, w, w.copy()) == 2
 
     def test_single_change(self):
+        """One pair of a 32-bit value and a 10-bit index, plus the tag."""
         model = CostModel(index_bits_mode=IndexBitsMode.CEIL_LOG2_DIM)
         w1 = np.zeros(1000)
         w2 = w1.copy()
         w2[77] = 1.0
-        assert downlink_bits(model, w1, w2) == 42
+        assert downlink_bits(model, w1, w2) == 44
+
+    @pytest.mark.parametrize("n, bits", [
+        (1, 64), (3, 192),          # pairs: 64 bits each
+        (4, 100 + 128),             # bitmap: d bits, then 32 per value
+        (96, 100 + 3072),
+        (97, 3200), (100, 3200),    # dense: 32 per coordinate
+    ])
+    def test_cheapest_form(self, n, bits):
+        w1 = np.zeros(100)
+        w2 = w1.copy()
+        w2[:n] = 1.0
+        assert downlink_bits(DEFAULT_COST_MODEL, w1, w2) == bits + 2
 
     def test_sub_float32_changes_are_free(self):
         w1 = np.ones(10)
@@ -107,6 +121,143 @@ class TestDownlink:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             downlink_bits(DEFAULT_COST_MODEL, np.zeros(3), np.zeros(4))
+
+
+# A reference broadcast codec: the caller's shared state is the previous
+# float32 image.  The message is header_bits zero bits, the 2-bit form tag
+# (0 dense, 1 pairs, 2 bitmap), then the body, MSB first, zero-padded to a
+# whole byte; its length is all the receiver learns of the pairs' count.
+FORMS = ("dense", "pairs", "bitmap")
+
+
+def _to_bits(words, width):
+    """Each unsigned integer as ``width`` bits, most significant first."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    words = np.asarray(words, dtype=np.uint64)
+    return ((words[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
+def _from_bits(bits, width, count):
+    """The first ``count`` integers of ``width`` bits each."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    rows = bits[:count * width].reshape(count, width).astype(np.uint64)
+    return (rows @ (np.uint64(1) << shifts)).astype(np.uint32)
+
+
+def float32_words(w):
+    return np.asarray(w, dtype=np.float32).view(np.uint32)
+
+
+def encode_broadcast(model, w_prev, w_next):
+    """(bytes, form) of the shortest form of ``w_next``'s float32 image."""
+    assert model.value_bits == 32
+    prev, nxt = float32_words(w_prev), float32_words(w_next)
+    changed = np.flatnonzero(prev != nxt)
+    index_width = index_bits(model, prev.size)
+    bodies = [_to_bits(nxt, 32).ravel(),
+              np.hstack([_to_bits(nxt[changed], 32),
+                         _to_bits(changed, index_width)]).ravel(),
+              np.concatenate([(prev != nxt).astype(np.uint8),
+                              _to_bits(nxt[changed], 32).ravel()])]
+    form = min(range(len(FORMS)), key=lambda f: bodies[f].size)
+    stream = np.concatenate([np.zeros(model.header_bits, np.uint8),
+                             _to_bits([form], 2).ravel(), bodies[form]])
+    return np.packbits(stream).tobytes(), FORMS[form]
+
+
+def decode_broadcast(model, data, w_prev):
+    """The float32 image that ``data`` encodes against ``w_prev``'s."""
+    prev = float32_words(w_prev)
+    d = prev.size
+    bits = np.unpackbits(np.frombuffer(data, np.uint8))[model.header_bits:]
+    form, body = FORMS[int(_from_bits(bits, 2, 1)[0])], bits[2:]
+    nxt = prev.copy()
+    if form == "dense":
+        nxt, used = _from_bits(body, 32, d), 32 * d
+    elif form == "pairs":
+        pair = 32 + index_bits(model, d)
+        n = body.size // pair      # the padding is under 8 bits, shorter than a pair
+        rows = body[:n * pair].reshape(n, pair)
+        nxt[_from_bits(rows[:, 32:].ravel(), pair - 32, n)] = \
+            _from_bits(rows[:, :32].ravel(), 32, n)
+        used = n * pair
+    else:
+        mask = body[:d].astype(bool)
+        n = int(np.count_nonzero(mask))
+        nxt[mask] = _from_bits(body[d:], 32, n)
+        used = d + 32 * n
+    padding = body[used:]
+    assert padding.size < 8 and not padding.any(), form
+    return nxt.view(np.float32)
+
+
+class TestBroadcastDecodes:
+    """Every form decodes from its charged bits: bytes of length
+    ceil(downlink_bits / 8) rebuild the next float32 image bit for bit."""
+
+    FIXED = DEFAULT_COST_MODEL
+    LOG2 = CostModel(index_bits_mode=IndexBitsMode.CEIL_LOG2_DIM)
+
+    def check(self, model, w_prev, w_next):
+        bits = downlink_bits(model, w_prev, w_next)
+        data, form = encode_broadcast(model, w_prev, w_next)
+        assert len(data) == -(-bits // 8)
+        back = decode_broadcast(model, data, w_prev)
+        assert back.tobytes() == np.asarray(w_next, dtype=np.float32).tobytes()
+        return form
+
+    @staticmethod
+    def images(d, n, seed=0):
+        rng = np.random.default_rng(seed)
+        w_prev = rng.standard_normal(d)
+        w_next = w_prev.copy()
+        w_next[rng.choice(d, n, replace=False)] += 1.0
+        assert changed_coordinates(w_prev, w_next) == n
+        return w_prev, w_next
+
+    @pytest.mark.parametrize("model", [FIXED, LOG2], ids=["fixed32", "ceil_log2"])
+    @pytest.mark.parametrize("n, form", [(0, "pairs"), (7, "pairs"), (64, "bitmap"),
+                                         (256, "dense")])
+    def test_each_form_wins(self, model, n, form):
+        """d = 256: n = 0 and n < d/32 go as pairs, n = d/4 as a bitmap, n = d dense."""
+        assert self.check(model, *self.images(256, n)) == form
+
+    def test_compact_indices_shift_the_pairs_bound(self):
+        """8-bit indices make a pair 40 bits: of d = 256, 40-bit pairs lose
+        to the bitmap from n = 33 and 64-bit ones from n = 9 (a tie, at
+        n = 32 and n = 8, goes as pairs)."""
+        for n, fixed, log2 in [(8, "pairs", "pairs"), (9, "bitmap", "pairs"),
+                               (32, "bitmap", "pairs"), (33, "bitmap", "bitmap")]:
+            assert self.check(self.FIXED, *self.images(256, n)) == fixed
+            assert self.check(self.LOG2, *self.images(256, n)) == log2
+
+    @pytest.mark.parametrize("model", [FIXED, LOG2], ids=["fixed32", "ceil_log2"])
+    @pytest.mark.parametrize("d", [1, 2, 7, 13, 40])
+    def test_every_count_decodes(self, model, d):
+        """Every n from 0 to d, at widths that leave each padding length;
+        from d = 7 each form wins for some n."""
+        forms = {self.check(model, *self.images(d, n, seed=n)) for n in range(d + 1)}
+        assert {"pairs", "dense"} <= forms
+        assert d < 7 or "bitmap" in forms
+
+    @pytest.mark.parametrize("n, form", [(0, "pairs"), (3, "pairs"), (40, "bitmap"),
+                                         (100, "dense")])
+    def test_header_bits(self, n, form):
+        model = CostModel(header_bits=8)
+        w_prev, w_next = self.images(100, n)
+        bits = downlink_bits(model, w_prev, w_next)
+        assert bits == downlink_bits(self.FIXED, w_prev, w_next) + 8
+        assert self.check(model, w_prev, w_next) == form
+
+    def test_negative_zero_is_a_change(self):
+        """-0.0 and +0.0 differ bitwise, so the sign travels."""
+        w_prev = np.zeros(64)
+        w_next = w_prev.copy()
+        w_next[[3, 40]] = -0.0
+        assert changed_coordinates(w_prev, w_next) == 2
+        assert downlink_bits(self.FIXED, w_prev, w_next) == 2 + 2 * 64
+        assert self.check(self.FIXED, w_prev, w_next) == "pairs"
+        assert self.check(self.FIXED, w_next, w_prev) == "pairs"   # back to +0.0
 
 
 class TestWireFormat:

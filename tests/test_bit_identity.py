@@ -9,11 +9,13 @@ that means to alter them regenerates the digests with
 
     PYTHONPATH=src python tests/test_bit_identity.py --regenerate
 
-and says which digests changed and why.  The last bits of ``np.log``,
-``np.cos`` and friends may differ between builds and between the SIMD targets
-numpy dispatches to, and BLAS sums in a kernel-dependent order, so the digests
-are pinned to the python and numpy versions, numpy's enabled dispatch
-targets and the OpenBLAS core that made them.
+and says which digests changed and why; before it writes, it prints each
+case whose exit code or digests moved, with the files that changed.  The
+last bits of ``np.log``, ``np.cos`` and friends may differ between builds and
+between the SIMD targets numpy dispatches to, and BLAS sums in a
+kernel-dependent order, so the digests are pinned to the python and numpy
+versions, numpy's enabled dispatch targets and the OpenBLAS core that made
+them.
 """
 
 from __future__ import annotations
@@ -219,6 +221,23 @@ def test_version_mismatch_names_the_regenerate_command(monkeypatch):
         load_digests()
 
 
+def test_regenerate_reports_what_moved():
+    old = {"a": {"exit": 0, "files": {"metrics.csv": "1", "summary.json": "2"}},
+           "b": {"exit": 0, "files": {"metrics.csv": "3"}},
+           "c": {"exit": 0, "files": {"metrics.csv": "4"}},
+           "gone": {"exit": 0, "files": {}}}
+    new = {"a": {"exit": 0, "files": {"metrics.csv": "9", "summary.json": "8"}},
+           "b": {"exit": 0, "files": {"metrics.csv": "3"}},
+           "c": {"exit": 2, "files": {"metrics.csv": "4", "report_t1_1.json": "5"}},
+           "new": {"exit": 0, "files": {}}}
+    assert moved(old, new) == ["a: metrics.csv summary.json",
+                               "c: report_t1_1.json exit 0 -> 2",
+                               "gone: removed", "new: added", "1 cases unchanged"]
+    assert moved(old, dict(old, b={"exit": 1, "files": {"metrics.csv": "3"}}))[0] == \
+        "b: exit 0 -> 1"
+    assert moved(new, new) == ["4 cases unchanged"]
+
+
 def test_another_blas_core_fails_on_the_environment():
     """Under another OpenBLAS core a case fails on the recorded environment,
     naming both, not on its digests."""
@@ -237,9 +256,32 @@ def test_another_blas_core_fails_on_the_environment():
     assert "changed files" not in proc.stdout
 
 
+def moved(old: dict, new: dict) -> list:
+    """One line per case whose exit code or digests differ between ``old``
+    and ``new``, naming the files that changed, then the unchanged count."""
+    lines, same = [], 0
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name), new.get(name)
+        if a == b:
+            same += 1
+        elif a is None or b is None:
+            lines.append(f"{name}: {'added' if a is None else 'removed'}")
+        else:
+            parts = sorted(f for f in a["files"].keys() | b["files"].keys()
+                           if a["files"].get(f) != b["files"].get(f))
+            if a["exit"] != b["exit"]:
+                parts.append(f"exit {a['exit']} -> {b['exit']}")
+            lines.append(f"{name}: {' '.join(parts)}")
+    return lines + [f"{same} cases unchanged"]
+
+
 def regenerate():
     with tempfile.TemporaryDirectory() as tmp:
         cases = {name: run_case(name, Path(tmp)) for name in sorted(CASES)}
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {"cases": {}}
+    if old.get("environment", environment()) != environment():
+        print(f"environment {old['environment']} -> {environment()}")
+    print("\n".join(moved(old["cases"], cases)))
     data = {"environment": environment(), "regenerate": REGENERATE, "cases": cases}
     DIGESTS.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     codes = sorted({c["exit"] for c in cases.values()})

@@ -316,6 +316,32 @@ class TestDefinedExits:
         assert main(["export", str(tmp_path / "c")]) == 0     # to stdout
         assert capsys.readouterr() == ((tmp_path / "c" / "summary.json").read_text(), "")
 
+    def test_export_of_a_diverged_run_is_its_summary(self, tmp_path, capsys):
+        """The seeds stop at round 1 of 10; the saved config's ``rounds``
+        tells export that they diverged there."""
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", objective="logistic", dim=6, clients=3,
+                        samples_per_client=10, algorithm="ef21", eta=1e200, rounds=10,
+                        seeds="0:2")
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 2
+        summary = tmp_path / "c" / "summary.json"
+        assert [s["diverged_at"] for s in json.loads(summary.read_text())["per_seed"]] \
+            == [1, 1]
+        exported = tmp_path / "export.json"
+        assert main(["export", str(tmp_path / "c"), "--output", str(exported)]) == 0
+        assert exported.read_bytes() == summary.read_bytes()
+
+    def test_export_without_effective_config_is_one_line_exit_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=3, seeds="0:2")
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 0
+        (tmp_path / "c" / "effective_config.cfg").unlink()
+        capsys.readouterr()
+        exported = tmp_path / "export.json"
+        assert main(["export", str(tmp_path / "c"), "--output", str(exported)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot export {tmp_path / 'c'}: no "
+                                       f"effective_config.cfg next to its metrics.csv "
+                                       f"gives the run's rounds\n")
+        assert not exported.exists()
+
     def test_comma_list_seeds(self, tmp_path):
         """A comma list keeps its order in the echoed config; the rows come
         sorted by seed."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fedproj.harness
 from fedproj.algorithms import AlgorithmConfig, AlgorithmKind
 from fedproj.compressors import CompressorKind, CompressorSpec
 from fedproj.harness import (
@@ -158,6 +159,46 @@ class TestRun:
         res = run_seed(cfg, build_objective(QUAD), 0)   # ||w_t||: 3, 3, 9, 15
         assert res.diverged_at == 4
         assert [m.round for m in res.rows] == [0, 3, 4]
+
+    @pytest.mark.parametrize("kind, compressor, d, forms", [
+        (AlgorithmKind.PROJFL, CompressorSpec(CompressorKind.RANDK, k_fraction=0.25), 64,
+         {"bitmap", "dense"}),
+        (AlgorithmKind.FEDAVG, CompressorSpec(CompressorKind.TOPK, k_fraction=1 / 256), 256,
+         {"pairs"}),
+    ])
+    def test_downlink_ledger(self, monkeypatch, kind, compressor, d, forms):
+        """Row ``t``'s ``downlink_bits`` is M times the cheapest form of round
+        ``t - 1``'s broadcast, min(32 d, 64 n, d + 32 n) + 2 bits, with ``n``
+        the changed float32 coordinates; the cumulative columns are running
+        sums."""
+        M = 4
+        ocfg = ObjectiveConfig(ObjectiveKind.QUADRATIC, d=d, clients=M,
+                               centers="random", center_scale=1.5)
+        cfg = RunConfig(objective=ocfg,
+                        algorithm=AlgorithmConfig(kind, eta=0.2, compressor=compressor),
+                        noise=NoiseModel(0.2), rounds=12, seeds=(0,))
+        changed = []
+        server_round = fedproj.harness.server_round
+
+        def counting(alg, server, upload):
+            w_prev = server.w.astype(np.float32)
+            server_round(alg, server, upload)
+            w_next = server.w.astype(np.float32)
+            changed.append(int(np.count_nonzero(w_prev.view(np.uint32)
+                                                != w_next.view(np.uint32))))
+
+        monkeypatch.setattr(fedproj.harness, "server_round", counting)
+        rows = run_built(cfg)[0].rows
+        costs = [dict(dense=32 * d, pairs=64 * n, bitmap=d + 32 * n) for n in changed]
+        assert [m.downlink_bits for m in rows] == \
+            [0] + [M * (min(c.values()) + 2) for c in costs]
+        assert {min(c, key=c.get) for c in costs} == forms
+        cum_up = cum_down = 0
+        for m in rows:
+            cum_up += m.uplink_bits
+            cum_down += m.downlink_bits
+            assert (m.cum_uplink_bits, m.cum_downlink_bits, m.cum_total_bits) == \
+                (cum_up, cum_down, cum_up + cum_down)
 
     def test_cadence_thins_rows(self):
         cfg = RunConfig(objective=QUAD,

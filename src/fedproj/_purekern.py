@@ -16,7 +16,10 @@ The stream kernels take an array of ``R`` keys and return ``R`` rows, row
 a single stream is the case ``R = 1``.  Uniform doubles take the top 53
 bits: ``(word >> 11) * 2**-53`` in ``[0, 1)``.  Normal draws are Box-Muller
 pairs on those uniforms (the first uniform is shifted into ``(0, 1]`` so the
-log is finite).
+log is finite).  Sign bits take all 64 bits of a word, least significant
+first: bit ``j`` of a row is bit ``j % 64`` of word ``start + j // 64``, so a
+row of ``n`` bits consumes ``ceil(n / 64)`` words and draws them with integer
+operations alone.
 """
 
 import numpy as np
@@ -75,6 +78,13 @@ def stream_normals(keys, start: int, n: int) -> np.ndarray:
     np.sin(u2, out=out[:, 1])
     out *= r[:, None]
     return out.reshape(len(u), 2 * m)[:, :n]
+
+
+def stream_signs(keys, start: int, n: int) -> np.ndarray:
+    """``(R, n)`` bits as uint8, 64 per stream word, least significant first;
+    each row consumes ``ceil(n / 64)`` words."""
+    words = stream_words(keys, start, -(-n // 64)).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
 def stream_subset(keys, start: int, pop: int, k: int) -> np.ndarray:

@@ -13,25 +13,25 @@ form needs no count field; the bitmap gives the count by its popcount.
 
 :func:`message_bits` is the one cost model of an upload: it takes a payload
 from ``compressors.compress`` and returns one count per row (client).
-``serialize_message`` / ``deserialize_message`` give each row a canonical
-byte form whose length equals ``ceil(message_bits / 8)`` under the default
-cost model with zero header bits, so every charged bit is one a receiver
-can decode.  A quantized row, an all-zero one included, is its float32
-norm, then its bits packed with ``np.packbits``: the sign bits, then each
-level in ``_level_bits`` bits, MSB first, zero-padded to a whole byte.
+Under the default cost model with zero header bits, a row's count rounded up
+to whole bytes is the length of a canonical byte form, so every charged bit
+is one a receiver could decode.  A dense row is its float32 values; a
+sparse row its float32 values, then its uint32 indices; a quantized row, an
+all-zero one included, its float32 norm, then the sign bits and each level
+in ``_level_bits`` bits, MSB first, zero-padded to a whole byte.  The
+reference codecs in ``tests/test_accounting.py`` write and read these forms
+and those of the broadcast.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
-from .compressors import DensePayload, Payload, QuantizedPayload, SparsePayload
+from .compressors import Payload, QuantizedPayload, SparsePayload
 
 __all__ = [
     "IndexBitsMode",
@@ -41,8 +41,6 @@ __all__ = [
     "message_bits",
     "downlink_bits",
     "changed_coordinates",
-    "serialize_message",
-    "deserialize_message",
 ]
 
 
@@ -126,66 +124,3 @@ def downlink_bits(model: CostModel, w_prev, w_next) -> int:
     v = model.value_bits
     body = min(d * v, n * (v + index_bits(model, d)), d + n * v)
     return body + _FORM_TAG_BITS + model.header_bits
-
-
-def _level_shifts(s_levels: int) -> np.ndarray:
-    """Bit positions of a level, most significant first."""
-    return np.arange(_level_bits(s_levels) - 1, -1, -1)
-
-
-def serialize_message(payload: Payload, row: int = 0) -> bytes:
-    """Canonical bytes of one row; length == ceil(message_bits/8) under the
-    default model."""
-    if isinstance(payload, DensePayload):
-        return np.asarray(payload.values[row], dtype="<f4").tobytes()
-    if isinstance(payload, SparsePayload):
-        return (np.asarray(payload.values[row], dtype="<f4").tobytes()
-                + np.asarray(payload.indices[row], dtype="<u4").tobytes())
-    level_bits = (payload.levels[row][:, None] >> _level_shifts(payload.s_levels)) & 1
-    bits = np.concatenate([payload.signs[row], level_bits.ravel()])
-    return struct.pack("<f", payload.norm[row]) + np.packbits(bits).tobytes()
-
-
-def deserialize_message(data: bytes, kind: str, dim: int,
-                        n_values: Optional[int] = None,
-                        s_levels: Optional[int] = None) -> Payload:
-    """Inverse of :func:`serialize_message`: a one-row payload.
-
-    The wire format carries no header, so the receiver supplies the payload
-    ``kind`` (``dense``/``sparse``/``quantized``) and its shape parameters.
-    Bytes that are not the canonical length, and quantized bytes whose
-    padding bits are not zero, are refused.  Values come back at float32
-    precision.
-    """
-    if kind == "dense":
-        expected = 4 * dim
-    elif kind == "sparse":
-        if n_values is None:
-            raise ValueError("sparse deserialization needs n_values")
-        expected = 8 * n_values
-    elif kind == "quantized":
-        if s_levels is None:
-            raise ValueError("quantized deserialization needs s_levels")
-        n_bits = dim * (1 + _level_bits(s_levels))
-        expected = 4 + -(-n_bits // 8)
-    else:
-        raise ValueError(f"unknown payload kind {kind!r}")
-    if len(data) != expected:
-        raise ValueError(f"a {kind} message of dim {dim} is {expected} bytes, got {len(data)}")
-
-    if kind == "dense":
-        return DensePayload(np.frombuffer(data, dtype="<f4").astype(np.float64)[None, :])
-    if kind == "sparse":
-        values = np.frombuffer(data, dtype="<f4", count=n_values).astype(np.float64)
-        indices = np.frombuffer(data, dtype="<u4", offset=4 * n_values).astype(np.int64)
-        return SparsePayload(indices[None, :], values[None, :], dim)
-    norm = struct.unpack("<f", data[:4])[0]
-    packed = np.frombuffer(data, dtype=np.uint8, offset=4)
-    pad = 8 * packed.size - n_bits
-    if pad and packed[-1] & ((1 << pad) - 1):
-        raise ValueError(f"a quantized message's {pad} padding bits must be zero")
-    bits = np.unpackbits(packed, count=n_bits)
-    signs = bits[:dim]
-    shifts = _level_shifts(s_levels)
-    levels = bits[dim:].reshape(dim, shifts.size) @ (1 << shifts)
-    return QuantizedPayload(np.array([norm]), signs[None, :], levels[None, :], s_levels)

@@ -8,6 +8,7 @@ from ._purekern import (
     project_decompose,
     qsgd_encode,
     stream_normals,
+    stream_signs,
     stream_subset,
     stream_uniforms,
     topk_indices,

@@ -32,7 +32,12 @@ in one operation for quadratic).  :meth:`FederatedObjective.fold` turns those
 into ``(f(w), grad f(w))`` in a fixed order: ``sum`` of the client losses, then
 ``/ M``, and the left fold ``g_0 + g_1 + ...``, then ``/ M``.  ``loss_grad``,
 the dissimilarity probe and the harness's metrics rows all fold the same rows,
-and :func:`stochastic_gradient` adds the clients' noise rows to them.
+and :func:`stochastic_gradient` adds the clients' noise rows to them.  A noise
+row comes from the client's gradient-noise stream under the
+:class:`NoiseModel`'s law: by default Rademacher signs ``+-sigma/sqrt(d)``, one
+stream bit per coordinate, or on request isotropic Gaussian or uniform-ball
+rows built from Box-Muller normals.  Normals also make the random data (the
+quadratic centers, the logistic and MLP samples) once, at set-up.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ class ObjectiveKind(str, Enum):
 
 
 class NoiseKind(str, Enum):
+    RADEMACHER = "rademacher"
     GAUSSIAN_ISO = "gaussian_iso"
     UNIFORM_BALL = "uniform_ball"
 
@@ -78,29 +84,54 @@ class NoiseKind(str, Enum):
 class NoiseModel:
     """Zero-mean gradient noise with second moment at most ``sigma**2``.
 
-    The isotropic Gaussian uses per-coordinate variance ``sigma**2 / d`` so
-    its second moment equals ``sigma**2`` exactly; the uniform ball of radius
-    ``sigma`` has second moment ``sigma**2 * d / (d + 2)``.
+    Three laws on ``R^d``:
+
+    * ``rademacher`` (the default): every coordinate is ``+sigma/sqrt(d)`` or
+      ``-sigma/sqrt(d)`` with probability 1/2 each, one stream bit per
+      coordinate, so ``||xi||^2 = sigma**2`` on every draw, up to the
+      rounding of ``sigma/sqrt(d)``;
+    * ``gaussian_iso``: per-coordinate variance ``sigma**2 / d``, second
+      moment ``sigma**2``;
+    * ``uniform_ball``: uniform in the ball of radius ``sigma``, second
+      moment ``sigma**2 * d / (d + 2)``.
+
+    The Rademacher rows are integer work plus exact float operations, so
+    they have the same bits on every host.  The other two are built from
+    Box-Muller normals, whose ``log``/``cos``/``sin`` last bits depend on the
+    build and on the SIMD target.
     """
 
     sigma: float = 0.0
-    distribution: NoiseKind = NoiseKind.GAUSSIAN_ISO
+    distribution: NoiseKind = NoiseKind.RADEMACHER
 
     def __post_init__(self):
-        object.__setattr__(self, "distribution", NoiseKind(self.distribution))
+        try:
+            object.__setattr__(self, "distribution", NoiseKind(self.distribution))
+        except ValueError:
+            raise ValueError(f"noise must be one of {', '.join(k.value for k in NoiseKind)}, "
+                             f"got {self.distribution!r}") from None
         if not 0.0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     def draw(self, dim: int, keys) -> np.ndarray:
         """``(R, dim)`` noise rows, row ``r`` from the stream keyed ``keys[r]``.
 
-        The ball's direction is the row's ``dim`` normals; its radius comes
-        from the next uniform of the same stream.
+        A Rademacher row maps sign bit 0 to ``+scale`` and 1 to ``-scale``,
+        ``scale = sigma / sqrt(dim)``, as ``bit * (-2 scale) + scale``: both
+        steps are exact.  The Gaussian scales the row's ``dim`` normals by
+        the same ``scale``.  The ball's direction is the row's ``dim``
+        normals; its radius comes from the next uniform of the same stream.
         """
         keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+        scale = self.sigma / np.sqrt(dim)
+        if self.distribution is NoiseKind.RADEMACHER:
+            rows = backend.stream_signs(keys, 0, dim).astype(np.float64)
+            rows *= -2.0 * scale
+            rows += scale
+            return rows
         rows = backend.stream_normals(keys, 0, dim)
         if self.distribution is NoiseKind.GAUSSIAN_ISO:
-            rows *= self.sigma / np.sqrt(dim)
+            rows *= scale
             return rows
         u = backend.stream_uniforms(keys, 2 * ((dim + 1) // 2), 1)[:, 0]
         for r, direction in enumerate(rows):

@@ -1,3 +1,6 @@
+import struct
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -5,16 +8,19 @@ from fedproj.accounting import (
     DEFAULT_COST_MODEL,
     CostModel,
     IndexBitsMode,
+    _level_bits,
     changed_coordinates,
-    deserialize_message,
     downlink_bits,
     index_bits,
     message_bits,
-    serialize_message,
 )
 from fedproj.compressors import (
     CompressorKind,
     CompressorSpec,
+    DensePayload,
+    Payload,
+    QuantizedPayload,
+    SparsePayload,
     compress,
     decode,
 )
@@ -260,6 +266,71 @@ class TestBroadcastDecodes:
         assert self.check(self.FIXED, w_next, w_prev) == "pairs"   # back to +0.0
 
 
+# A reference uplink codec: the canonical byte form of one row of a payload,
+# whose length is ceil(message_bits / 8) under the default cost model.
+def _level_shifts(s_levels: int) -> np.ndarray:
+    """Bit positions of a level, most significant first."""
+    return np.arange(_level_bits(s_levels) - 1, -1, -1)
+
+
+def serialize_message(payload: Payload, row: int = 0) -> bytes:
+    """Canonical bytes of one row; length == ceil(message_bits/8) under the
+    default model."""
+    if isinstance(payload, DensePayload):
+        return np.asarray(payload.values[row], dtype="<f4").tobytes()
+    if isinstance(payload, SparsePayload):
+        return (np.asarray(payload.values[row], dtype="<f4").tobytes()
+                + np.asarray(payload.indices[row], dtype="<u4").tobytes())
+    level_bits = (payload.levels[row][:, None] >> _level_shifts(payload.s_levels)) & 1
+    bits = np.concatenate([payload.signs[row], level_bits.ravel()])
+    return struct.pack("<f", payload.norm[row]) + np.packbits(bits).tobytes()
+
+
+def deserialize_message(data: bytes, kind: str, dim: int,
+                        n_values: Optional[int] = None,
+                        s_levels: Optional[int] = None) -> Payload:
+    """Inverse of :func:`serialize_message`: a one-row payload.
+
+    The wire format carries no header, so the receiver supplies the payload
+    ``kind`` (``dense``/``sparse``/``quantized``) and its shape parameters.
+    Bytes that are not the canonical length, and quantized bytes whose
+    padding bits are not zero, are refused.  Values come back at float32
+    precision.
+    """
+    if kind == "dense":
+        expected = 4 * dim
+    elif kind == "sparse":
+        if n_values is None:
+            raise ValueError("sparse deserialization needs n_values")
+        expected = 8 * n_values
+    elif kind == "quantized":
+        if s_levels is None:
+            raise ValueError("quantized deserialization needs s_levels")
+        n_bits = dim * (1 + _level_bits(s_levels))
+        expected = 4 + -(-n_bits // 8)
+    else:
+        raise ValueError(f"unknown payload kind {kind!r}")
+    if len(data) != expected:
+        raise ValueError(f"a {kind} message of dim {dim} is {expected} bytes, got {len(data)}")
+
+    if kind == "dense":
+        return DensePayload(np.frombuffer(data, dtype="<f4").astype(np.float64)[None, :])
+    if kind == "sparse":
+        values = np.frombuffer(data, dtype="<f4", count=n_values).astype(np.float64)
+        indices = np.frombuffer(data, dtype="<u4", offset=4 * n_values).astype(np.int64)
+        return SparsePayload(indices[None, :], values[None, :], dim)
+    norm = struct.unpack("<f", data[:4])[0]
+    packed = np.frombuffer(data, dtype=np.uint8, offset=4)
+    pad = 8 * packed.size - n_bits
+    if pad and packed[-1] & ((1 << pad) - 1):
+        raise ValueError(f"a quantized message's {pad} padding bits must be zero")
+    bits = np.unpackbits(packed, count=n_bits)
+    signs = bits[:dim]
+    shifts = _level_shifts(s_levels)
+    levels = bits[dim:].reshape(dim, shifts.size) @ (1 << shifts)
+    return QuantizedPayload(np.array([norm]), signs[None, :], levels[None, :], s_levels)
+
+
 class TestWireFormat:
     def test_lengths_match_ceil_bits(self):
         rng = np.random.default_rng(2)
@@ -375,7 +446,6 @@ class TestWireFormat:
         assert serialize_message(dense) == bytes.fromhex("0000803f" "000000c0")
 
         # quantized: norm 5.0, signs (0,0), levels (1,1), s=1
-        from fedproj.compressors import QuantizedPayload
         qm = QuantizedPayload(np.array([5.0]), np.array([[0, 0]], np.uint8),
                               np.array([[1, 1]], np.int64), 1)
         # 0x40a00000 big-bit-stream then bits 0,0,1,1 -> 0b0011 << 4 = 0x30

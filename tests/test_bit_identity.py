@@ -41,13 +41,15 @@ from fedproj.cli import main
 DIGESTS = Path(__file__).with_name("bit_identity_digests.json")
 REGENERATE = "PYTHONPATH=src python tests/test_bit_identity.py --regenerate"
 
+# Gaussian noise, named explicitly: these cases pin the Box-Muller path, and
+# the cases prefixed ``rad-`` pin the default Rademacher one
 OBJECTIVES = {
     "quad": dict(objective="quadratic", dim=16, clients=4, centers="random",
-                 center_scale=1.5, sigma=0.2, eta=0.2),
+                 center_scale=1.5, noise="gaussian_iso", sigma=0.2, eta=0.2),
     "logi": dict(objective="logistic", dim=12, clients=4, samples_per_client=20,
-                 sigma=0.1, eta=0.2),
+                 noise="gaussian_iso", sigma=0.1, eta=0.2),
     "mlp": dict(objective="tiny_mlp", clients=3, d_in=4, hidden=3,
-                samples_per_client=15, sigma=0.1, eta=0.1),
+                samples_per_client=15, noise="gaussian_iso", sigma=0.1, eta=0.1),
 }
 ALGORITHMS = ("projfl", "projfl_ef", "fedavg", "ef", "ef21", "ef21_gamma",
               "diana", "diana_gamma")
@@ -57,6 +59,11 @@ COMPRESSORS = {
     "topk": dict(compressor="topk", k_fraction=0.25),
     "qsgd": dict(compressor="qsgd", s_levels=2),
 }
+
+
+def default_noise(values: dict) -> dict:
+    """``values`` with the noise law left to its default (Rademacher)."""
+    return {k: v for k, v in values.items() if k != "noise"}
 
 
 def _cases():
@@ -133,6 +140,20 @@ def _cases():
     for item, values in verify.items():
         name = f"verify-{item}"
         cases[name] = ("verify", item, 1, dict(values, name=name))
+
+    # the default noise law: every algorithm and compressor on quad, each
+    # verifier item, and rows of d = 1 and M = 40 (neither a multiple of 64)
+    rad = default_noise(quad)
+    for alg, (cname, comp) in itertools.product(ALGORITHMS, COMPRESSORS.items()):
+        name = f"rad-quad-{alg}-{cname}"
+        cases[name] = ("run", None, 1, dict(name=name, **rad, algorithm=alg, **comp,
+                                            rounds=15, seeds="0:2"))
+    for name in ("quad-projfl_ef-id-d1", "quad-projfl-randk-M40"):
+        cases[f"rad-{name}"] = ("run", None, 1, dict(default_noise(cases[name][3]),
+                                                     name=f"rad-{name}"))
+    for item, values in verify.items():
+        name = f"rad-verify-{item}"
+        cases[name] = ("verify", item, 1, dict(default_noise(values), name=name))
     return cases
 
 

@@ -439,6 +439,15 @@ class TestRefusedInputs:
             and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.1"]])
+    def test_unknown_noise_law(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=2, noise="bogus")
+        argv = [command[0], str(cfg), *command[1:], "--out", str(tmp_path), "--jobs", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: noise must be one of rademacher, "
+                                           "gaussian_iso, uniform_ball, got 'bogus'\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_certify_has_no_layerwise_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--kind", "topk", "--dim", "50", "--layerwise"])
@@ -631,6 +640,28 @@ class TestReproduction:
         err = capsys.readouterr().err
         assert err == (f"error: {metrics} was not written by this config (the "
                        f"effective_config.cfg next to it is missing or differs)\n")
+
+    @pytest.mark.parametrize("noise", [None, "gaussian_iso"])
+    def test_verify_reuse_of_a_gaussian_run(self, tmp_path, capsys, noise):
+        """A run made with ``noise = gaussian_iso`` is not what a config that
+        omits ``noise`` would write, since that takes the default, rademacher."""
+        a = write_cfg(tmp_path / "a.cfg", **dict(self.CFG, noise="gaussian_iso"))
+        argv = ["verify", str(a), "--item", "lemmaA1", "--jobs", "1"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        metrics = tmp_path / "a" / "c" / "metrics.csv"
+        assert "noise = gaussian_iso" in \
+            metrics.with_name("effective_config.cfg").read_text().splitlines()
+        b = write_cfg(tmp_path / "b.cfg", **(dict(self.CFG, noise=noise) if noise else self.CFG))
+        capsys.readouterr()
+        code = main(["verify", str(b), "--item", "lemmaA1", "--jobs", "1",
+                     "--out", str(tmp_path / "b"), "--reuse", str(metrics)])
+        if noise:
+            assert code == 0 and (tmp_path / "b" / "c" / "report_lemmaA1.json").exists()
+            return
+        assert code == 1 and not (tmp_path / "b").exists()
+        assert capsys.readouterr().err == (
+            f"error: {metrics} was not written by this config (the "
+            f"effective_config.cfg next to it is missing or differs)\n")
 
     def test_verify_reuse_of_diverged_seeds_is_refused(self, tmp_path, capsys):
         """The CSV has no diverged_at: seeds that stop before ``rounds`` diverged."""

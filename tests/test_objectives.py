@@ -363,7 +363,7 @@ class TestStochasticGradient:
                                 noise_keys(0, obj))
         assert np.all(g[1] == 0.0)
 
-    @pytest.mark.parametrize("dist", [NoiseKind.GAUSSIAN_ISO, NoiseKind.UNIFORM_BALL])
+    @pytest.mark.parametrize("dist", list(NoiseKind))
     def test_monte_carlo_unbiased(self, dist):
         obj = two_point_quadratic()
         w = np.array([0.5, -0.5])
@@ -402,7 +402,7 @@ class TestStochasticGradient:
             stochastic_gradient(obj.client_loss_grads(np.zeros(2))[1], NoiseModel(0.0),
                                 stream_keys(0, np.arange(7), 0, StreamPurpose.GRADIENT_NOISE))
 
-    @pytest.mark.parametrize("dist", [NoiseKind.GAUSSIAN_ISO, NoiseKind.UNIFORM_BALL])
+    @pytest.mark.parametrize("dist", list(NoiseKind))
     def test_noise_rows_do_not_depend_on_block_size(self, dist, monkeypatch):
         import fedproj.objectives as objectives
         obj = make_quadratic(5, 7, [np.full(7, float(i)) for i in range(5)])

@@ -9,8 +9,14 @@ functions below are those loops.  BLAS picks its ``ddot`` kernel
 from ``OPENBLAS_CORETYPE`` and numpy its loops from
 ``NPY_DISABLE_CPU_FEATURES``, so the check also runs in child processes, each
 with one setting in its own environment only.
+
+The sign-bit kernel and the Rademacher noise law built on it are checked
+against the stream words they read, entry by entry, and for the same bits in
+child processes under those settings: their rows are integer work plus exact
+float operations, so no host setting may move them.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,10 +26,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedproj import backend
-from fedproj.algorithms import PROJECTION_EPS
-from fedproj.harness import _metrics_row
-from fedproj.objectives import make_quadratic
+from fedproj import _purekern, backend
+from fedproj.algorithms import PROJECTION_EPS, AlgorithmConfig, AlgorithmKind
+from fedproj.compressors import CompressorKind, CompressorSpec
+from fedproj.harness import ObjectiveConfig, RunConfig, _metrics_row, build_objective, run
+from fedproj.objectives import NoiseKind, NoiseModel, ObjectiveKind, make_quadratic
 from fedproj.vectors import StreamPurpose, stream_keys
 
 TESTS = Path(__file__).resolve().parent
@@ -123,9 +130,9 @@ def avx512_off():
     return " ".join(names) or None
 
 
-@pytest.mark.parametrize("setting", ["default", "OPENBLAS_CORETYPE=Haswell",
-                                     "OPENBLAS_CORETYPE=Prescott", "avx512-off"])
-def test_batched_kernels_equal_per_row_loops_in_child(setting):
+def in_child(setting, statement):
+    """The last stdout line of ``statement``, run on this module in a child
+    process whose environment alone has ``setting``."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     if setting == "avx512-off":
         features = avx512_off()
@@ -137,11 +144,17 @@ def test_batched_kernels_equal_per_row_loops_in_child(setting):
         env[name] = value
     code = (f"import sys; sys.path.insert(0, {str(TESTS)!r})\n"
             "import test_row_kernels\n"
-            "test_row_kernels.check_premise()\n"
-            "print('ok')\n")
+            f"{statement}\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
-    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "ok", proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("setting", ["default", "OPENBLAS_CORETYPE=Haswell",
+                                     "OPENBLAS_CORETYPE=Prescott", "avx512-off"])
+def test_batched_kernels_equal_per_row_loops_in_child(setting):
+    assert in_child(setting, "test_row_kernels.check_premise(); print('ok')") == "ok"
 
 
 def test_batched_kernels_equal_per_row_loops():
@@ -194,3 +207,94 @@ def test_quadratic_losses_and_error_metric_equal_reference_loops():
     row = _metrics_row(obj, 0, w, types.SimpleNamespace(error=error), losses, rows,
                        0, 0, 0, 0)
     assert row.err_mean_sq == float(np.mean([e @ e for e in error]))
+
+
+SIGN_WIDTHS = [1, 63, 64, 65, 30000]
+
+
+def noise_keys(n, round_index=3):
+    return stream_keys(11, np.arange(n), round_index, StreamPurpose.GRADIENT_NOISE)
+
+
+def reference_signs(key, n):
+    """Bit ``j`` of a row: bit ``j % 64`` of word ``j // 64``, by integer shifts."""
+    words = [int(w) for w in _purekern.stream_words([key], 0, -(-n // 64))[0]]
+    return np.array([(words[j // 64] >> (j % 64)) & 1 for j in range(n)], dtype=np.uint8)
+
+
+def rademacher_digest():
+    """sha256 of an ``(8, 1000)`` draw of the default noise law."""
+    return hashlib.sha256(NoiseModel(0.5).draw(1000, noise_keys(8)).tobytes()).hexdigest()
+
+
+class TestStreamSigns:
+    @pytest.mark.parametrize("d", SIGN_WIDTHS)
+    def test_bits_are_the_stream_words_lsb_first(self, d):
+        keys = noise_keys(3)
+        bits = backend.stream_signs(keys, 0, d)
+        assert bits.shape == (3, d) and bits.dtype == np.uint8
+        for r, key in enumerate(keys):
+            assert np.array_equal(bits[r], reference_signs(key, d)), r
+
+    def test_start_counts_words(self):
+        keys = noise_keys(4)
+        assert np.array_equal(backend.stream_signs(keys, 2, 70),
+                              backend.stream_signs(keys, 0, 198)[:, 128:])
+
+    @pytest.mark.parametrize("d", SIGN_WIDTHS)
+    def test_batch_equals_rows_one_at_a_time(self, d):
+        keys = noise_keys(5)
+        noise = NoiseModel(0.7)
+        rows = noise.draw(d, keys)
+        for r, key in enumerate(keys):
+            assert rows[r].tobytes() == noise.draw(d, key)[0].tobytes(), r
+            assert np.array_equal(backend.stream_signs(keys, 0, d)[r],
+                                  backend.stream_signs(key, 0, d)[0])
+
+
+class TestRademacherNoise:
+    def test_is_the_default(self):
+        assert NoiseModel(0.3).distribution is NoiseKind.RADEMACHER
+
+    @pytest.mark.parametrize("d", SIGN_WIDTHS)
+    def test_every_entry_is_plus_or_minus_the_scale(self, d):
+        sigma = 0.7
+        keys = noise_keys(6)
+        rows = NoiseModel(sigma).draw(d, keys)
+        scale = sigma / np.sqrt(d)
+        want = np.where(backend.stream_signs(keys, 0, d) == 1, -scale, scale)
+        assert rows.tobytes() == want.tobytes()
+        assert np.vecdot(rows, rows) == pytest.approx(np.full(6, sigma ** 2), rel=1e-12)
+
+    def test_mean_within_a_clt_bound(self):
+        """4 096 fixed keys: each coordinate's mean has standard error
+        ``scale / 64``, and every one lies within 6 of them of 0."""
+        sigma, d, n = 2.0, 100, 4096
+        rows = NoiseModel(sigma).draw(d, noise_keys(n, round_index=np.arange(n)))
+        stderr = sigma / np.sqrt(d) / np.sqrt(n)
+        assert np.abs(rows.mean(axis=0)).max() <= 6 * stderr
+        assert abs(rows.mean()) <= 6 * stderr / np.sqrt(d)
+
+    def test_round_loop_calls_no_log_cos_or_sin(self, monkeypatch):
+        """Only the set-up draws normals: with the objective built, a run
+        under the default law never reaches ``np.log``, ``np.cos`` or ``np.sin``."""
+        cfg = RunConfig(
+            objective=ObjectiveConfig(ObjectiveKind.QUADRATIC, d=70, clients=3,
+                                      centers="random"),
+            algorithm=AlgorithmConfig(AlgorithmKind.PROJFL_EF, eta=0.1,
+                                      compressor=CompressorSpec(CompressorKind.TOPK,
+                                                                k_fraction=0.1)),
+            noise=NoiseModel(0.5), rounds=5, seeds=(0, 1))
+        obj = build_objective(cfg.objective)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the round loop called a transcendental function")
+        for name in ("log", "cos", "sin"):
+            monkeypatch.setattr(np, name, refuse)
+        assert [len(r.rows) for r in run(cfg, obj, 1)] == [6, 6]
+
+
+@pytest.mark.parametrize("setting", ["OPENBLAS_CORETYPE=Haswell", "avx512-off"])
+def test_rademacher_rows_have_the_same_bits_in_child(setting):
+    assert in_child(setting, "print(test_row_kernels.rademacher_digest())") == \
+        rademacher_digest()

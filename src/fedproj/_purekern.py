@@ -16,9 +16,10 @@ The stream kernels take an array of ``R`` keys and return ``R`` rows, row
 a single stream is the case ``R = 1``.  Uniform doubles take the top 53
 bits: ``(word >> 11) * 2**-53`` in ``[0, 1)``.  Normal draws are Box-Muller
 pairs on those uniforms (the first uniform is shifted into ``(0, 1]`` so the
-log is finite).  Sign bits take all 64 bits of a word, least significant
-first: bit ``j`` of a row is bit ``j % 64`` of word ``start + j // 64``, so a
-row of ``n`` bits consumes ``ceil(n / 64)`` words and draws them with integer
+log is finite); only set-up draws them, never the round loop.  Sign bits,
+the gradient noise, take all 64 bits of a word, least significant first: bit
+``j`` of a row is bit ``j % 64`` of word ``start + j // 64``, so a row of
+``n`` bits consumes ``ceil(n / 64)`` words and draws them with integer
 operations alone.
 """
 

@@ -35,8 +35,7 @@ decodes that upload itself and steps :class:`Server`.  State layout:
 
 * the projecting kinds keep each client's last ``K`` directions in a
   :class:`History`, a ``(K, M, d)`` ring buffer whose slots are ``(M, d)``
-  blocks; the average is summed oldest first, as ``np.mean`` over the
-  stacked directions does;
+  blocks; the average is their left fold, oldest first, over their count;
 * the error of ``ef``/``projfl_ef`` is an ``(M, d)`` array, and so is the
   ``state`` the difference-compressing kinds compress against: the ef21
   directions or the diana memories, which one round rule advances.
@@ -158,11 +157,6 @@ class History:
         slots = [(self.newest - j) % K for j in range(self.count - 1, -1, -1)]
         if len(slots) == 1:
             return self.buf[slots[0]].copy()
-        if self.buf.shape[2] == 1:
-            # np.mean of one client's (n, 1) stack sums its n values pairwise,
-            # not one after another: reduce each client's values as one row
-            rows = np.ascontiguousarray(self.buf[slots, :, 0].T)
-            return np.mean(rows, axis=1)[:, None]
         acc = self.buf[slots[0]] + self.buf[slots[1]]
         for slot in slots[2:]:
             acc += self.buf[slot]

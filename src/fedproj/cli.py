@@ -23,8 +23,9 @@ written; a ``verify`` item that is unknown or misused; an ``export`` or
 ``verify --reuse`` metrics CSV that is missing or unreadable; an ``export``
 run directory with no ``effective_config.cfg``; a ``layerwise``
 or ``projection_layerwise`` flag on an objective with no layers, where it
-would do nothing; a ``certify`` ``--dim`` below 1 or an invalid compressor.
-Argparse usage errors exit 2.
+would do nothing; a ``certify`` ``--dim`` below 1 or an invalid compressor;
+a client count, seed or bit cost too large for an int64.  Argparse usage
+errors exit 2.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ _FIELDS: Dict[str, tuple] = {
             "projection_layerwise"),
     "compressor": (CompressorSpec, "kind"),
     **_same(CompressorSpec, "k_fraction", "s_levels", "layerwise"),
-    "noise": (NoiseModel, "distribution"),
     "sigma": (NoiseModel, "sigma"),
     **_same(RunConfig, "rounds", "seeds", "cadence", "divergence_threshold"),
     **_same(CostModel, "value_bits", "index_bits_mode", "scalar_bits", "header_bits"),
@@ -150,7 +150,7 @@ def parse_config_file(path) -> Dict:
         parser = {bool: _parse_bool, tuple: _parse_seeds}.get(kind, kind)
         try:
             values[key] = parser(val)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     values.setdefault("name", Path(path).stem)
     for key in _FIELDS:
@@ -271,7 +271,7 @@ def _load(config_path):
     config = build_run_config(values)
     try:
         obj = build_objective(config.objective)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{config_path}: cannot build the objective: {exc}") from exc
     if obj.layer_partition is None:
         for key in ("projection_layerwise", "layerwise"):
@@ -525,8 +525,9 @@ def main(argv=None) -> int:
                "certify": cmd_certify, "export": cmd_export}[args.command]
     try:
         return handler(args)
-    except (OSError, ValueError) as exc:
-        # ConfigError, VerifierError and UnicodeDecodeError are ValueErrors
+    except (OSError, ValueError, OverflowError) as exc:
+        # ConfigError, VerifierError and UnicodeDecodeError are ValueErrors;
+        # an OverflowError is a count too large for an int64, e.g. value_bits
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

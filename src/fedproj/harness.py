@@ -245,7 +245,9 @@ def run_seed(config: RunConfig, obj: FederatedObjective, seed: int) -> SeedResul
             server_round(alg, server, upload)
             assert_mirror(server, clients, seed)
 
-            up_bits = int(message_bits(config.cost_model, upload.msg, upload.n_scalars).sum())
+            # Python ints: the sum of the int64 rows may exceed an int64
+            up_bits = sum(message_bits(config.cost_model, upload.msg,
+                                       upload.n_scalars).tolist())
             down_bits = downlink_bits(config.cost_model, w_prev, server.w) * M
             cum_up += up_bits
             cum_down += down_bits
@@ -558,7 +560,7 @@ def verify(item: str, results: Sequence[SeedResult], obj: FederatedObjective,
         raise VerifierError(f"seeds {bad} diverged; bounds do not apply")
     eta = cfg.algorithm.eta
     cert = _certificate(item, obj, cfg)
-    # H3 constant: both supported distributions satisfy E||xi||^2 <= sigma^2
+    # H3 constant: the Rademacher rows have ||xi||^2 = sigma^2 on every draw
     sigma_sq = cfg.noise.sigma ** 2
     w_star, f_star, caveats = _gather_constants(
         obj, need_w_star=item in ("t1.1", "t1.2", "t2.1", "t2.2"),

@@ -33,11 +33,10 @@ into ``(f(w), grad f(w))`` in a fixed order: ``sum`` of the client losses, then
 ``/ M``, and the left fold ``g_0 + g_1 + ...``, then ``/ M``.  ``loss_grad``,
 the dissimilarity probe and the harness's metrics rows all fold the same rows,
 and :func:`stochastic_gradient` adds the clients' noise rows to them.  A noise
-row comes from the client's gradient-noise stream under the
-:class:`NoiseModel`'s law: by default Rademacher signs ``+-sigma/sqrt(d)``, one
-stream bit per coordinate, or on request isotropic Gaussian or uniform-ball
-rows built from Box-Muller normals.  Normals also make the random data (the
-quadratic centers, the logistic and MLP samples) once, at set-up.
+row is Rademacher signs ``+-sigma/sqrt(d)``, one bit of the client's
+gradient-noise stream per coordinate (:class:`NoiseModel`).  Normals are used
+only for data: they make the quadratic centers and the logistic and MLP
+samples once, at set-up.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from .vectors import StreamPurpose, derive_stream
 
 __all__ = [
     "ObjectiveKind",
-    "NoiseKind",
     "NoiseModel",
     "FederatedObjective",
     "make_quadratic",
@@ -74,72 +72,35 @@ class ObjectiveKind(str, Enum):
     TINY_MLP = "tiny_mlp"
 
 
-class NoiseKind(str, Enum):
-    RADEMACHER = "rademacher"
-    GAUSSIAN_ISO = "gaussian_iso"
-    UNIFORM_BALL = "uniform_ball"
-
-
 @dataclass(frozen=True)
 class NoiseModel:
-    """Zero-mean gradient noise with second moment at most ``sigma**2``.
+    """Zero-mean gradient noise with second moment ``sigma**2``: every
+    coordinate is ``+sigma/sqrt(d)`` or ``-sigma/sqrt(d)`` with probability
+    1/2 each, one stream bit per coordinate, so ``||xi||^2 = sigma**2`` on
+    every draw, up to the rounding of ``sigma/sqrt(d)``.
 
-    Three laws on ``R^d``:
-
-    * ``rademacher`` (the default): every coordinate is ``+sigma/sqrt(d)`` or
-      ``-sigma/sqrt(d)`` with probability 1/2 each, one stream bit per
-      coordinate, so ``||xi||^2 = sigma**2`` on every draw, up to the
-      rounding of ``sigma/sqrt(d)``;
-    * ``gaussian_iso``: per-coordinate variance ``sigma**2 / d``, second
-      moment ``sigma**2``;
-    * ``uniform_ball``: uniform in the ball of radius ``sigma``, second
-      moment ``sigma**2 * d / (d + 2)``.
-
-    The Rademacher rows are integer work plus exact float operations, so
-    they have the same bits on every host.  The other two are built from
-    Box-Muller normals, whose ``log``/``cos``/``sin`` last bits depend on the
-    build and on the SIMD target.
+    The rows are integer work plus exact float operations, so they have the
+    same bits on every host.
     """
 
     sigma: float = 0.0
-    distribution: NoiseKind = NoiseKind.RADEMACHER
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "distribution", NoiseKind(self.distribution))
-        except ValueError:
-            raise ValueError(f"noise must be one of {', '.join(k.value for k in NoiseKind)}, "
-                             f"got {self.distribution!r}") from None
         if not 0.0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     def draw(self, dim: int, keys) -> np.ndarray:
         """``(R, dim)`` noise rows, row ``r`` from the stream keyed ``keys[r]``.
 
-        A Rademacher row maps sign bit 0 to ``+scale`` and 1 to ``-scale``,
+        Sign bit 0 maps to ``+scale`` and 1 to ``-scale``,
         ``scale = sigma / sqrt(dim)``, as ``bit * (-2 scale) + scale``: both
-        steps are exact.  The Gaussian scales the row's ``dim`` normals by
-        the same ``scale``.  The ball's direction is the row's ``dim``
-        normals; its radius comes from the next uniform of the same stream.
+        steps are exact.
         """
         keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
         scale = self.sigma / np.sqrt(dim)
-        if self.distribution is NoiseKind.RADEMACHER:
-            rows = backend.stream_signs(keys, 0, dim).astype(np.float64)
-            rows *= -2.0 * scale
-            rows += scale
-            return rows
-        rows = backend.stream_normals(keys, 0, dim)
-        if self.distribution is NoiseKind.GAUSSIAN_ISO:
-            rows *= scale
-            return rows
-        u = backend.stream_uniforms(keys, 2 * ((dim + 1) // 2), 1)[:, 0]
-        for r, direction in enumerate(rows):
-            nrm = np.linalg.norm(direction)
-            if nrm == 0.0:
-                direction[:] = 0.0
-            else:
-                direction *= self.sigma * u[r] ** (1.0 / dim) / nrm
+        rows = backend.stream_signs(keys, 0, dim).astype(np.float64)
+        rows *= -2.0 * scale
+        rows += scale
         return rows
 
 

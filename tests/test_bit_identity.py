@@ -16,6 +16,14 @@ between the SIMD targets numpy dispatches to, and BLAS sums in a
 kernel-dependent order, so the digests are pinned to the python and numpy
 versions, numpy's enabled dispatch targets and the OpenBLAS core that made
 them.
+
+The cases named ``rad-X`` are older run directories: while ``noise`` was a
+config key they ran case ``X``'s config under the name ``rad-X`` with the
+then default, and the one law now, ``noise = rademacher``.  Each reruns
+``X``'s config under its old name, puts that line back in the
+``effective_config.cfg`` it writes, and must reproduce the older digests:
+an older Rademacher run reproduces bit for bit once its noise line is
+deleted.
 """
 
 from __future__ import annotations
@@ -41,15 +49,13 @@ from fedproj.cli import main
 DIGESTS = Path(__file__).with_name("bit_identity_digests.json")
 REGENERATE = "PYTHONPATH=src python tests/test_bit_identity.py --regenerate"
 
-# Gaussian noise, named explicitly: these cases pin the Box-Muller path, and
-# the cases prefixed ``rad-`` pin the default Rademacher one
 OBJECTIVES = {
     "quad": dict(objective="quadratic", dim=16, clients=4, centers="random",
-                 center_scale=1.5, noise="gaussian_iso", sigma=0.2, eta=0.2),
+                 center_scale=1.5, sigma=0.2, eta=0.2),
     "logi": dict(objective="logistic", dim=12, clients=4, samples_per_client=20,
-                 noise="gaussian_iso", sigma=0.1, eta=0.2),
+                 sigma=0.1, eta=0.2),
     "mlp": dict(objective="tiny_mlp", clients=3, d_in=4, hidden=3,
-                samples_per_client=15, noise="gaussian_iso", sigma=0.1, eta=0.1),
+                samples_per_client=15, sigma=0.1, eta=0.1),
 }
 ALGORITHMS = ("projfl", "projfl_ef", "fedavg", "ef", "ef21", "ef21_gamma",
               "diana", "diana_gamma")
@@ -59,11 +65,6 @@ COMPRESSORS = {
     "topk": dict(compressor="topk", k_fraction=0.25),
     "qsgd": dict(compressor="qsgd", s_levels=2),
 }
-
-
-def default_noise(values: dict) -> dict:
-    """``values`` with the noise law left to its default (Rademacher)."""
-    return {k: v for k, v in values.items() if k != "noise"}
 
 
 def _cases():
@@ -82,14 +83,13 @@ def _cases():
         name="mlp-projfl-randk-projlayerwise", **mlp, algorithm="projfl",
         compressor="randk", k_fraction=0.25, layerwise="true",
         projection_layerwise="true", rounds=15, seeds="0:2"))
-    # paths the grid above leaves out: noise and cadence variants, history
+    # paths the grid above leaves out: zero noise, cadence variants, history
     # windows, layerwise randk with a flat projection, the compact index cost
-    # model, a diverging run, and more than 32 clients (many rows per kernel call)
+    # model, a diverging run, more than 32 clients (many rows per kernel call)
+    # and rows of d = 1 and M = 40 (neither a multiple of 64 sign bits)
     quad = OBJECTIVES["quad"]
     randk = COMPRESSORS["randk"]
     extra = {
-        "quad-projfl-randk-ball": dict(quad, algorithm="projfl", **randk,
-                                       noise="uniform_ball", sigma=0.3),
         "quad-projfl_ef-topk-sigma0": dict(quad, algorithm="projfl_ef",
                                            **COMPRESSORS["topk"], sigma=0.0),
         "quad-ef-qsgd-cadence3": dict(quad, algorithm="ef", **COMPRESSORS["qsgd"],
@@ -140,24 +140,17 @@ def _cases():
     for item, values in verify.items():
         name = f"verify-{item}"
         cases[name] = ("verify", item, 1, dict(values, name=name))
-
-    # the default noise law: every algorithm and compressor on quad, each
-    # verifier item, and rows of d = 1 and M = 40 (neither a multiple of 64)
-    rad = default_noise(quad)
-    for alg, (cname, comp) in itertools.product(ALGORITHMS, COMPRESSORS.items()):
-        name = f"rad-quad-{alg}-{cname}"
-        cases[name] = ("run", None, 1, dict(name=name, **rad, algorithm=alg, **comp,
-                                            rounds=15, seeds="0:2"))
-    for name in ("quad-projfl_ef-id-d1", "quad-projfl-randk-M40"):
-        cases[f"rad-{name}"] = ("run", None, 1, dict(default_noise(cases[name][3]),
-                                                     name=f"rad-{name}"))
-    for item, values in verify.items():
-        name = f"rad-verify-{item}"
-        cases[name] = ("verify", item, 1, dict(default_noise(values), name=name))
     return cases
 
 
 CASES = _cases()
+
+# older run name -> the case whose config it ran, its noise line aside
+LEGACY = {f"rad-{name}": name for name in (
+    *(f"quad-{alg}-{cname}" for alg, cname in itertools.product(ALGORITHMS, COMPRESSORS)),
+    "quad-projfl_ef-id-d1", "quad-projfl-randk-M40",
+    *(name for name in CASES if name.startswith("verify-")))}
+NAMES = sorted(CASES.keys() | LEGACY.keys())
 
 
 def _numpy_dispatch() -> str:
@@ -188,7 +181,9 @@ def environment() -> dict:
 
 def run_case(name: str, root: Path) -> dict:
     """Exit code and sha256 of every file one case writes."""
-    command, item, jobs, values = CASES[name]
+    command, item, jobs, values = CASES[LEGACY.get(name, name)]
+    if name in LEGACY:
+        values = dict(values, name=name)
     cfg = root / f"{name}.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     out = root / name
@@ -198,9 +193,19 @@ def run_case(name: str, root: Path) -> dict:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     run_dir = out / values["name"]
+    if name in LEGACY:
+        restore_noise_line(run_dir / "effective_config.cfg")
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(run_dir.iterdir())}
     return {"exit": code, "files": files}
+
+
+def restore_noise_line(path: Path) -> None:
+    """Put the ``noise = rademacher`` line back where an older run wrote it,
+    just before ``sigma``."""
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("sigma = "))
+    path.write_text("".join(lines[:at] + ["noise = rademacher\n"] + lines[at:]))
 
 
 def load_digests() -> dict:
@@ -216,7 +221,7 @@ def digests():
     return load_digests()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", NAMES)
 def test_outputs_are_bit_identical(name, digests, tmp_path):
     assert name in digests, f"no digest for case {name}; regenerate with: {REGENERATE}"
     want = digests[name]
@@ -229,7 +234,17 @@ def test_outputs_are_bit_identical(name, digests, tmp_path):
 
 
 def test_corpus_has_no_stale_digests(digests):
-    assert sorted(digests) == sorted(CASES), f"regenerate with: {REGENERATE}"
+    assert sorted(digests) == NAMES, f"regenerate with: {REGENERATE}"
+
+
+def test_corpus_has_no_duplicate_configs():
+    """Two cases that run the same command on the same config pin nothing
+    twice over; the ``jobs1``/``jobs2`` twins differ in ``jobs``."""
+    seen = {}
+    for name, (command, item, jobs, values) in sorted(CASES.items()):
+        config = tuple(sorted((k, str(v)) for k, v in values.items() if k != "name"))
+        assert seen.setdefault((command, item, jobs, config), name) == name, \
+            f"{name} repeats {seen[(command, item, jobs, config)]}"
 
 
 def test_jobs_two_matches_jobs_one(digests):
@@ -298,7 +313,7 @@ def moved(old: dict, new: dict) -> list:
 
 def regenerate():
     with tempfile.TemporaryDirectory() as tmp:
-        cases = {name: run_case(name, Path(tmp)) for name in sorted(CASES)}
+        cases = {name: run_case(name, Path(tmp)) for name in NAMES}
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {"cases": {}}
     if old.get("environment", environment()) != environment():
         print(f"environment {old['environment']} -> {environment()}")

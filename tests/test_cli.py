@@ -441,12 +441,35 @@ class TestRefusedInputs:
 
     @pytest.mark.parametrize("command", [["run"], ["verify", "--item", "t1.1"]])
     def test_unknown_noise_law(self, tmp_path, capsys, command):
-        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=2, noise="bogus")
-        argv = [command[0], str(cfg), *command[1:], "--out", str(tmp_path), "--jobs", "1"]
-        assert main(argv) == 1
-        assert capsys.readouterr() == ("", "error: noise must be one of rademacher, "
-                                           "gaussian_iso, uniform_ball, got 'bogus'\n")
+        """The noise law is fixed, so a ``noise`` line is refused as a key,
+        before its value is read: the one law, an older one or a bogus one."""
+        for noise in ("rademacher", "gaussian_iso", "bogus"):
+            cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=2, noise=noise)
+            argv = [command[0], str(cfg), *command[1:], "--out", str(tmp_path), "--jobs", "1"]
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"error: {cfg}:3: unknown key 'noise'\n")
+            assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("values, message", [
+        (dict(clients=10**23, centers="random"), "{cfg}: cannot build the objective: "),
+        (dict(seeds=f"0:{10**23}"), "{cfg}:3: bad value for seeds: "),
+    ], ids=["clients", "seeds"])
+    def test_count_too_large_for_an_int64(self, tmp_path, capsys, values, message):
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=2, **values)
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(cfg=cfg)}Python int too large") \
+            and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_bit_cost_too_large_for_an_int64(self, tmp_path, capsys):
+        """``value_bits = 10**19`` fails in the first round's ledger, not in a
+        traceback; no metrics are written."""
+        cfg = write_cfg(tmp_path / "c.cfg", name="c", rounds=2, value_bits=10**19)
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Python int too large") and err.count("\n") == 1
+        assert not (tmp_path / "c" / "metrics.csv").exists()
 
     def test_certify_has_no_layerwise_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -643,25 +666,55 @@ class TestReproduction:
 
     @pytest.mark.parametrize("noise", [None, "gaussian_iso"])
     def test_verify_reuse_of_a_gaussian_run(self, tmp_path, capsys, noise):
-        """A run made with ``noise = gaussian_iso`` is not what a config that
-        omits ``noise`` would write, since that takes the default, rademacher."""
-        a = write_cfg(tmp_path / "a.cfg", **dict(self.CFG, noise="gaussian_iso"))
-        argv = ["verify", str(a), "--item", "lemmaA1", "--jobs", "1"]
-        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        """A run directory whose ``effective_config.cfg`` holds
+        ``noise = gaussian_iso``, as an older Gaussian run's does, holds
+        metrics no config makes now.  ``verify --reuse`` refuses it from a
+        config that omits ``noise`` (its effective config differs) and from
+        one that still names the law (``noise`` is not a key), and writes
+        nothing."""
+        a = write_cfg(tmp_path / "a.cfg", **self.CFG)
+        assert main(["run", str(a), "--out", str(tmp_path / "a"), "--jobs", "1"]) == 0
         metrics = tmp_path / "a" / "c" / "metrics.csv"
-        assert "noise = gaussian_iso" in \
-            metrics.with_name("effective_config.cfg").read_text().splitlines()
+        effective = metrics.with_name("effective_config.cfg")
+        lines = effective.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("sigma = "))
+        effective.write_text("".join(lines[:at] + ["noise = gaussian_iso\n"] + lines[at:]))
         b = write_cfg(tmp_path / "b.cfg", **(dict(self.CFG, noise=noise) if noise else self.CFG))
         capsys.readouterr()
         code = main(["verify", str(b), "--item", "lemmaA1", "--jobs", "1",
                      "--out", str(tmp_path / "b"), "--reuse", str(metrics)])
-        if noise:
-            assert code == 0 and (tmp_path / "b" / "c" / "report_lemmaA1.json").exists()
-            return
         assert code == 1 and not (tmp_path / "b").exists()
-        assert capsys.readouterr().err == (
+        assert capsys.readouterr() == ("", (
+            f"error: {b}:{len(self.CFG) + 1}: unknown key 'noise'\n" if noise else
             f"error: {metrics} was not written by this config (the "
-            f"effective_config.cfg next to it is missing or differs)\n")
+            f"effective_config.cfg next to it is missing or differs)\n"))
+
+    def test_run_dir_with_a_noise_line(self, tmp_path, capsys):
+        """A run directory written while ``noise`` was a key holds a
+        ``noise = rademacher`` line (the older default law, which is the one
+        law now).  ``export`` and ``verify --reuse`` refuse it; with the line
+        deleted, its config reruns to the same bytes."""
+        cfg = write_cfg(tmp_path / "c.cfg", **self.CFG)
+        run_dir = tmp_path / "old" / "c"
+        assert main(["run", str(cfg), "--out", str(run_dir.parent), "--jobs", "1"]) == 0
+        effective = run_dir / "effective_config.cfg"
+        lines = effective.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("sigma = "))
+        effective.write_text("".join(lines[:at] + ["noise = rademacher\n"] + lines[at:]))
+        capsys.readouterr()
+        assert main(["export", str(run_dir), "--output", str(tmp_path / "s.json")]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {effective}:{at + 1}: unknown key 'noise'\n")
+        metrics = run_dir / "metrics.csv"
+        assert main(["verify", str(cfg), "--item", "lemmaA1", "--jobs", "1",
+                     "--out", str(tmp_path / "b"), "--reuse", str(metrics)]) == 1
+        assert capsys.readouterr() == ("", f"error: {metrics} was not written by this "
+                                           f"config (the effective_config.cfg next to it "
+                                           f"is missing or differs)\n")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "c.cfg", tmp_path / "old"]
+        effective.write_text("".join(lines))
+        assert main(["run", str(effective), "--out", str(tmp_path / "new"), "--jobs", "1"]) == 0
+        assert (tmp_path / "new" / "c" / "metrics.csv").read_bytes() == metrics.read_bytes()
 
     def test_verify_reuse_of_diverged_seeds_is_refused(self, tmp_path, capsys):
         """The CSV has no diverged_at: seeds that stop before ``rounds`` diverged."""

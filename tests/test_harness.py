@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fedproj.harness
+from fedproj.accounting import CostModel
 from fedproj.algorithms import AlgorithmConfig, AlgorithmKind
 from fedproj.compressors import CompressorKind, CompressorSpec
 from fedproj.harness import (
@@ -54,6 +57,18 @@ class TestRun:
         d0 = res.rows[0].dist_to_opt_sq
         for m in res.rows:
             assert m.dist_to_opt_sq == pytest.approx(0.25 ** m.round * d0, abs=1e-12)
+
+    def test_uplink_sum_past_int64_does_not_wrap(self):
+        """A qsgd row at ``value_bits = 2**62`` still fits an int64, the two
+        clients' sum does not: each round records M times the row's count."""
+        cfg = dataclasses.replace(
+            quad_config(AlgorithmKind.FEDAVG, compressor=CompressorSpec(CompressorKind.QSGD),
+                        rounds=2, d=3),
+            cost_model=CostModel(value_bits=2**62))
+        per_row = 2**62 + 3 * (1 + 1)   # the norm, then a sign and a 1-bit level each
+        rows = run_built(cfg)[0].rows
+        assert [m.uplink_bits for m in rows] == [0, 2 * per_row, 2 * per_row]
+        assert rows[-1].cum_uplink_bits == 4 * per_row
 
     def test_zero_rounds_single_row(self):
         cfg = quad_config(rounds=0)

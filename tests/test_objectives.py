@@ -5,7 +5,6 @@ import pytest
 
 from fedproj.objectives import (
     FederatedObjective,
-    NoiseKind,
     NoiseModel,
     make_logistic,
     make_quadratic,
@@ -363,12 +362,11 @@ class TestStochasticGradient:
                                 noise_keys(0, obj))
         assert np.all(g[1] == 0.0)
 
-    @pytest.mark.parametrize("dist", list(NoiseKind))
-    def test_monte_carlo_unbiased(self, dist):
+    def test_monte_carlo_unbiased(self):
         obj = two_point_quadratic()
         w = np.array([0.5, -0.5])
         sigma = 0.8
-        noise = NoiseModel(sigma, dist)
+        noise = NoiseModel(sigma)
         n = 10_000
         acc = np.zeros(2)
         for r in range(n):
@@ -378,23 +376,6 @@ class TestStochasticGradient:
         stderr = sigma / np.sqrt(2) / np.sqrt(n)
         assert np.all(np.abs(acc / n - exact) <= 4 * stderr + 1e-12)
 
-    def test_second_moment_bounded(self):
-        noise = NoiseModel(1.5, NoiseKind.GAUSSIAN_ISO)
-        total = 0.0
-        n = 20_000
-        keys = stream_keys(9, 0, np.arange(n), StreamPurpose.GRADIENT_NOISE)
-        for xi in noise.draw(6, keys):
-            total += xi @ xi
-        assert total / n == pytest.approx(1.5 ** 2, rel=0.05)
-
-        ball = NoiseModel(1.5, NoiseKind.UNIFORM_BALL)
-        total = 0.0
-        for xi in ball.draw(6, stream_keys(10, 0, np.arange(n), StreamPurpose.GRADIENT_NOISE)):
-            nrm2 = xi @ xi
-            assert nrm2 <= 1.5 ** 2 + 1e-12
-            total += nrm2
-        assert total / n <= 1.5 ** 2
-
     def test_bad_client(self):
         """One stream key per client: a key array of the wrong length is rejected."""
         obj = two_point_quadratic()
@@ -402,11 +383,10 @@ class TestStochasticGradient:
             stochastic_gradient(obj.client_loss_grads(np.zeros(2))[1], NoiseModel(0.0),
                                 stream_keys(0, np.arange(7), 0, StreamPurpose.GRADIENT_NOISE))
 
-    @pytest.mark.parametrize("dist", list(NoiseKind))
-    def test_noise_rows_do_not_depend_on_block_size(self, dist, monkeypatch):
+    def test_noise_rows_do_not_depend_on_block_size(self, monkeypatch):
         import fedproj.objectives as objectives
         obj = make_quadratic(5, 7, [np.full(7, float(i)) for i in range(5)])
-        noise = NoiseModel(0.4, dist)
+        noise = NoiseModel(0.4)
         whole = stochastic_gradient(obj.client_loss_grads(np.ones(7))[1], noise,
                                     noise_keys(3, obj))
         monkeypatch.setattr(objectives, "NOISE_BLOCK_BYTES", 8 * 7 * 2)  # two rows a block

@@ -30,7 +30,7 @@ from fedproj import _purekern, backend
 from fedproj.algorithms import PROJECTION_EPS, AlgorithmConfig, AlgorithmKind
 from fedproj.compressors import CompressorKind, CompressorSpec
 from fedproj.harness import ObjectiveConfig, RunConfig, _metrics_row, build_objective, run
-from fedproj.objectives import NoiseKind, NoiseModel, ObjectiveKind, make_quadratic
+from fedproj.objectives import NoiseModel, ObjectiveKind, make_quadratic
 from fedproj.vectors import StreamPurpose, stream_keys
 
 TESTS = Path(__file__).resolve().parent
@@ -223,7 +223,7 @@ def reference_signs(key, n):
 
 
 def rademacher_digest():
-    """sha256 of an ``(8, 1000)`` draw of the default noise law."""
+    """sha256 of an ``(8, 1000)`` draw of the noise law."""
     return hashlib.sha256(NoiseModel(0.5).draw(1000, noise_keys(8)).tobytes()).hexdigest()
 
 
@@ -253,9 +253,6 @@ class TestStreamSigns:
 
 
 class TestRademacherNoise:
-    def test_is_the_default(self):
-        assert NoiseModel(0.3).distribution is NoiseKind.RADEMACHER
-
     @pytest.mark.parametrize("d", SIGN_WIDTHS)
     def test_every_entry_is_plus_or_minus_the_scale(self, d):
         sigma = 0.7
@@ -275,15 +272,16 @@ class TestRademacherNoise:
         assert np.abs(rows.mean(axis=0)).max() <= 6 * stderr
         assert abs(rows.mean()) <= 6 * stderr / np.sqrt(d)
 
-    def test_round_loop_calls_no_log_cos_or_sin(self, monkeypatch):
-        """Only the set-up draws normals: with the objective built, a run
-        under the default law never reaches ``np.log``, ``np.cos`` or ``np.sin``."""
+    @pytest.mark.parametrize("compressor", list(CompressorKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", list(AlgorithmKind), ids=lambda k: k.value)
+    def test_round_loop_calls_no_log_cos_or_sin(self, monkeypatch, kind, compressor):
+        """Only the set-up draws normals: with the objective built, no round
+        loop reaches ``np.log``, ``np.cos`` or ``np.sin``."""
         cfg = RunConfig(
             objective=ObjectiveConfig(ObjectiveKind.QUADRATIC, d=70, clients=3,
                                       centers="random"),
-            algorithm=AlgorithmConfig(AlgorithmKind.PROJFL_EF, eta=0.1,
-                                      compressor=CompressorSpec(CompressorKind.TOPK,
-                                                                k_fraction=0.1)),
+            algorithm=AlgorithmConfig(kind, eta=0.1,
+                                      compressor=CompressorSpec(compressor, k_fraction=0.1)),
             noise=NoiseModel(0.5), rounds=5, seeds=(0, 1))
         obj = build_objective(cfg.objective)
 
